@@ -510,39 +510,3 @@ func BenchmarkDispatch(b *testing.B) {
 		b.ReportMetric(float64(len(trace)), "siminstrs/op")
 	})
 }
-
-// BenchmarkDispatchNoFuse is the fusion A/B: the same fib(15) workload on
-// the same configuration sweep as BenchmarkDispatch's per-config runs, but
-// with superinstruction fusion (and the certified threaded backend)
-// disabled via Config.NoFuse. The delta against BenchmarkDispatch/<name>
-// is what fusing push/alu/branch/call groups into single handlers buys.
-func BenchmarkDispatchNoFuse(b *testing.B) {
-	cfgs := []struct {
-		name  string
-		cfg   fpc.Config
-		early bool
-	}{
-		{"mesa", fpc.ConfigMesa, false},
-		{"fastfetch", fpc.ConfigFastFetch, true},
-		{"fastcalls", fpc.ConfigFastCalls, true},
-	}
-	for _, c := range cfgs {
-		b.Run(c.name, func(b *testing.B) {
-			prog := buildFib(b, c.early)
-			cfg := c.cfg
-			cfg.NoFuse = true
-			m, err := core.New(prog, cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m.Reset()
-				if _, err := m.Call(prog.Entry, 15); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(m.Metrics().Instructions), "siminstrs/op")
-		})
-	}
-}

@@ -25,6 +25,11 @@ func main() {
 	calls := flag.Int("calls", 4096, "total calls to serve in -parallel mode")
 	jsonOut := flag.Bool("json", false, "emit machine-readable JSON results instead of tables")
 	flag.Parse()
+	if err := checkServingFlags(*parallel, *calls); err != nil {
+		fmt.Fprintln(os.Stderr, "fpcbench:", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 	if *parallel > 0 {
 		if err := runParallel(*parallel, *calls); err != nil {
 			fmt.Fprintln(os.Stderr, "fpcbench:", err)
@@ -68,6 +73,19 @@ func main() {
 		fmt.Fprintf(os.Stderr, "fpcbench: %d experiments with failing checks\n", failed)
 		os.Exit(1)
 	}
+}
+
+// checkServingFlags rejects -parallel and -calls values that name no
+// serving run: a negative worker count (only 0 selects the experiments),
+// or a non-positive call count in -parallel mode.
+func checkServingFlags(parallel, calls int) error {
+	if parallel < 0 {
+		return fmt.Errorf("-parallel %d: want a worker count > 0, or 0 to run the experiments", parallel)
+	}
+	if parallel > 0 && calls <= 0 {
+		return fmt.Errorf("-calls %d: want at least one call in -parallel mode", calls)
+	}
+	return nil
 }
 
 // jsonResult is the machine-readable form of one experiment: the key

@@ -11,14 +11,12 @@ import (
 	"strings"
 
 	fpc "repro"
-	"repro/internal/isa"
 )
 
 func main() {
 	early := flag.Bool("early", false, "early-bind calls to DIRECTCALL/SHORTDIRECTCALL (§6)")
 	entry := flag.String("entry", "", "entry point as Module.proc (default <module>.main)")
 	verifyFlag := flag.Bool("verify", false, "annotate each instruction with the verifier's stack-depth bounds and print the full report")
-	fusedFlag := flag.Bool("fused", false, "annotate superinstruction group heads as a verified load fuses them, with the original byte pc of every member")
 	flag.Parse()
 	if flag.NArg() == 0 {
 		fmt.Fprintln(os.Stderr, "usage: fpcdis [flags] file.fpc ...")
@@ -73,40 +71,9 @@ func main() {
 			return "  ; unreached"
 		}
 	}
-	nGroups := -1
-	if *fusedFlag {
-		// The fused stream is an annotation over the same byte pcs, never a
-		// rewrite: each group head lists its members' original byte pcs, so
-		// the listing doubles as the pc map snapshots and error reports use.
-		insts, err := isa.Predecode(prog.Code)
-		if err != nil {
-			fatal(err)
-		}
-		nGroups = isa.Fuse(insts, isa.FuseOptions{FuseCall: rep.CallFusable})
-		prev := note
-		note = func(pc uint32) string {
-			s := ""
-			if prev != nil {
-				s = prev(pc)
-			}
-			in := &insts[pc]
-			if in.FLen <= 1 {
-				return s
-			}
-			members := make([]string, 0, in.FLen)
-			for p, i := pc, uint8(0); i < in.FLen; i++ {
-				members = append(members, fmt.Sprintf("%06x", p))
-				p += uint32(insts[p].Size)
-			}
-			return s + fmt.Sprintf("  ; fuse %s/%d @ %s", in.FOp, in.FLen, strings.Join(members, ","))
-		}
-	}
 	fmt.Print(prog.DisassembleAnnotated(note))
 	fmt.Printf("\ncode bytes %d, link-vector words %d, procedures %d\n",
 		lst.CodeBytes, lst.LVWords, lst.ProcCount)
-	if nGroups >= 0 {
-		fmt.Printf("fused group heads: %d (as a verified load fuses)\n", nGroups)
-	}
 	fmt.Printf("calls: %d external, %d local, %d direct, %d short-direct\n",
 		lst.ExternCalls, lst.LocalCalls, lst.DirectCalls, lst.ShortCalls)
 	fmt.Printf("instruction lengths: %d one-byte, %d two, %d three, %d four (of %d)\n",

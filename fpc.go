@@ -106,7 +106,7 @@ const JumpCycles = core.JumpCycles
 // match them with errors.Is (internal/core is not importable there).
 var (
 	// ErrMaxSteps is wrapped by run errors when Config.MaxSteps or a
-	// per-run budget (Machine.SetRunBudget, Pool.CallBudget) cuts a run.
+	// per-run budget (Machine.SetRunBudget, Pool.CallContext) cuts a run.
 	ErrMaxSteps = core.ErrMaxSteps
 	// ErrCanceled is wrapped when a cancel probe (Machine.SetCancel,
 	// Pool.CallContext) stops a run.

@@ -12,23 +12,33 @@ import (
 	"repro/internal/mem"
 )
 
+// linkBad links body as bad.main (plus any extra procedures) and returns
+// the program with the byte offset of the marker sequence inside it, so
+// tests can locate — or overwrite — a recognizable instruction run.
+func linkBad(t *testing.T, marker []byte, locals int, body func(*image.Asm), extra ...*image.Proc) (*image.Program, int) {
+	t.Helper()
+	p := &image.Proc{Name: "main", NumLocals: locals}
+	var a image.Asm
+	body(&a)
+	p.Body = a.Fragment()
+	mod := &image.Module{Name: "bad", Procs: append([]*image.Proc{p}, extra...)}
+	prog := linkOne(t, mod, "main", linker.Options{})
+	i := bytes.Index(prog.Code, marker)
+	if i < 0 {
+		t.Fatal("marker not found in linked code")
+	}
+	return prog, i
+}
+
 // badImageProg links a program whose main body is the recognizable
 // three-byte sequence LIB 0x5A; RET, and returns it with the byte offset
 // of that sequence so tests can overwrite it with malformed encodings.
 func badImageProg(t *testing.T) (*image.Program, int) {
 	t.Helper()
-	p := &image.Proc{Name: "main", NumArgs: 0, NumLocals: 0}
-	var a image.Asm
-	a.Emit(isa.LIB, 0x5A)
-	a.Emit(isa.RET)
-	p.Body = a.Fragment()
-	mod := &image.Module{Name: "bad", Procs: []*image.Proc{p}}
-	prog := linkOne(t, mod, "main", linker.Options{})
-	i := bytes.Index(prog.Code, []byte{byte(isa.LIB), 0x5A, byte(isa.RET)})
-	if i < 0 {
-		t.Fatal("main body not found in linked code")
-	}
-	return prog, i
+	return linkBad(t, []byte{byte(isa.LIB), 0x5A, byte(isa.RET)}, 0, func(a *image.Asm) {
+		a.Emit(isa.LIB, 0x5A)
+		a.Emit(isa.RET)
+	})
 }
 
 // patchJW overwrites the three bytes at i with a JW jumping to target.
@@ -39,36 +49,47 @@ func patchJW(code []byte, i, target int) {
 	code[i+2] = byte(uint16(rel) >> 8)
 }
 
+// callBad runs bad.main of prog on a fresh fast-calls machine.
+func callBad(t *testing.T, prog *image.Program) ([]mem.Word, error) {
+	t.Helper()
+	m, err := New(prog, ConfigFastCalls)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m.CallNamed("bad", "main")
+}
+
+// failsWith runs bad.main of prog and requires it to fail with exactly want.
+func failsWith(t *testing.T, prog *image.Program, want string) {
+	t.Helper()
+	_, err := callBad(t, prog)
+	if err == nil {
+		t.Fatal("faulting image ran cleanly")
+	}
+	if err.Error() != want {
+		t.Fatalf("error = %q, want %q", err, want)
+	}
+}
+
 // TestRunErrorFidelity: when execution reaches a malformed or truncated
 // encoding — or leaves the code space — the engine reports exactly the
 // byte pc and error text isa.Decode produces for that pc, wrapped with
 // the procedure name. Predecoding must not change what failures look
 // like.
 func TestRunErrorFidelity(t *testing.T) {
-	run := func(t *testing.T, prog *image.Program, failPC int) {
+	decodeFails := func(t *testing.T, prog *image.Program, failPC int) {
 		t.Helper()
-		m, err := New(prog, ConfigFastCalls)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = m.CallNamed("bad", "main")
-		if err == nil {
-			t.Fatal("malformed image ran cleanly")
-		}
 		_, _, derr := isa.Decode(prog.Code, failPC)
 		if derr == nil {
 			t.Fatalf("pc %d: expected Decode to fail", failPC)
 		}
-		want := fmt.Sprintf("%s at pc %06x: %s", prog.ProcName(uint32(failPC)), failPC, derr)
-		if err.Error() != want {
-			t.Fatalf("error = %q, want %q", err, want)
-		}
+		failsWith(t, prog, fmt.Sprintf("%s at pc %06x: %s", prog.ProcName(uint32(failPC)), failPC, derr))
 	}
 
 	t.Run("bad opcode", func(t *testing.T) {
 		prog, i := badImageProg(t)
 		prog.Code[i+2] = 0xEE // LIB executes, then dispatch hits the bad byte
-		run(t, prog, i+2)
+		decodeFails(t, prog, i+2)
 	})
 
 	t.Run("truncated instruction", func(t *testing.T) {
@@ -76,160 +97,69 @@ func TestRunErrorFidelity(t *testing.T) {
 		end := len(prog.Code)
 		prog.Code = append(prog.Code, byte(isa.JW), 0x01) // JW missing its second operand byte
 		patchJW(prog.Code, i, end)
-		run(t, prog, end)
+		decodeFails(t, prog, end)
 	})
 
 	t.Run("pc outside code", func(t *testing.T) {
 		prog, i := badImageProg(t)
 		patchJW(prog.Code, i, len(prog.Code))
-		m, err := New(prog, ConfigFastCalls)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = m.CallNamed("bad", "main")
 		pc := len(prog.Code)
-		want := fmt.Sprintf("%s at pc %06x: %s", prog.ProcName(uint32(pc)), pc,
-			isa.ErrPCRange(pc, len(prog.Code)))
-		if err == nil || err.Error() != want {
-			t.Fatalf("error = %v, want %q", err, want)
-		}
+		failsWith(t, prog, fmt.Sprintf("%s at pc %06x: %s", prog.ProcName(uint32(pc)), pc,
+			isa.ErrPCRange(pc, len(prog.Code))))
 	})
 }
 
-// fusedAndPlain loads prog twice — fused (the default) and with NoFuse —
-// runs mod.main on each, and returns both outcomes. It also asserts the
-// fused image really annotated a group with head op fop at byte pc head,
-// so the test cannot silently stop exercising fusion if the matcher or the
-// program changes.
-func fusedAndPlain(t *testing.T, prog *image.Program, head int, fop isa.FusedOp) (fusedRes, plainRes []mem.Word, fusedErr, plainErr error, fused, plain *Machine) {
-	t.Helper()
-	cfg := ConfigFastCalls
-	cfgNo := ConfigFastCalls
-	cfgNo.NoFuse = true
-	imgF, err := LoadImage(prog, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := imgF.Insts()[head].FOp; got != fop {
-		t.Fatalf("insts[%#x].FOp = %v, want %v: the test program no longer fuses as intended", head, got, fop)
-	}
-	imgP, err := LoadImage(prog, cfgNo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := imgP.Insts()[head].FOp; got != isa.FNone {
-		t.Fatalf("NoFuse image carries fusion annotations")
-	}
-	fused, err = imgF.NewMachine()
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain, err = imgP.NewMachine()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fusedRes, fusedErr = fused.Call(imgF.Entry())
-	plainRes, plainErr = plain.Call(imgP.Entry())
-	return
-}
-
-// TestFusedErrorPathFidelity: failures inside a fused group must be
-// reported at the failing member's original byte pc with error text
-// byte-identical to the unfused engine's — including a fault at the
-// *middle* member of a triple, where a batch-advanced pc would point past
-// instructions that never executed.
-func TestFusedErrorPathFidelity(t *testing.T) {
-	t.Run("overflow at middle member of a triple", func(t *testing.T) {
-		// Thirteen pushes fit exactly; the fourteenth faults. The first
-		// twelve LI1s fill the stack, then LL0 LL0 ADD fuses to a triple
-		// whose first member lands the thirteenth word and whose SECOND
-		// member faults at depth 13.
-		p := &image.Proc{Name: "main", NumArgs: 0, NumLocals: 1}
-		var a image.Asm
-		for j := 0; j < 12; j++ {
-			a.Emit(isa.LI1)
-		}
-		a.Emit(isa.LL0)
-		a.Emit(isa.LL0)
-		a.Emit(isa.ADD)
-		a.Emit(isa.RET)
-		p.Body = a.Fragment()
-		mod := &image.Module{Name: "bad", Procs: []*image.Proc{p}}
-		prog := linkOne(t, mod, "main", linker.Options{})
-		i := bytes.Index(prog.Code, []byte{byte(isa.LL0), byte(isa.LL0), byte(isa.ADD)})
-		if i < 0 {
-			t.Fatal("triple not found in linked code")
-		}
-
-		_, _, fusedErr, plainErr, _, _ := fusedAndPlain(t, prog, i, isa.FPushPushALU)
-		if plainErr == nil || fusedErr == nil {
-			t.Fatalf("overflow did not fail: fused=%v plain=%v", fusedErr, plainErr)
-		}
-		// The failing member is the second LL0 at i+1; handler errors are
-		// wrapped at the post-advance pc, i.e. i+2 — NOT the group head and
-		// NOT the group end (i+3).
+// TestHandlerFaultFidelity: a fault raised by an instruction's handler (a
+// stack overflow, a divide trap) is reported at the post-advance pc of the
+// faulting instruction, never at a neighbour's — including a fault in the
+// middle of an expression, where a pc advanced past the whole expression
+// would name instructions that never executed.
+func TestHandlerFaultFidelity(t *testing.T) {
+	t.Run("stack overflow mid-expression", func(t *testing.T) {
+		// Twelve LI1s and the first LL0 fill the stack; the second LL0's
+		// push faults. The error names the faulting LL0's post-advance pc
+		// (i+2): not the expression's first push, not the ADD's end.
+		prog, i := linkBad(t, []byte{byte(isa.LL0), byte(isa.LL0), byte(isa.ADD)}, 1, func(a *image.Asm) {
+			for j := 0; j < 12; j++ {
+				a.Emit(isa.LI1)
+			}
+			a.Emit(isa.LL0)
+			a.Emit(isa.LL0)
+			a.Emit(isa.ADD)
+			a.Emit(isa.RET)
+		})
 		pc := i + 2
-		want := fmt.Sprintf("%s at pc %06x: %s: push at depth %d",
-			prog.ProcName(uint32(pc)), pc, ErrStack, EvalStackDepth)
-		if plainErr.Error() != want {
-			t.Fatalf("plain error = %q, want %q", plainErr, want)
-		}
-		if fusedErr.Error() != plainErr.Error() {
-			t.Fatalf("fused error diverges from plain:\n fused %q\n plain %q", fusedErr, plainErr)
-		}
+		failsWith(t, prog, fmt.Sprintf("%s at pc %06x: %s: push at depth %d",
+			prog.ProcName(uint32(pc)), pc, ErrStack, EvalStackDepth))
 	})
 
-	t.Run("div-zero trap at the group tail", func(t *testing.T) {
-		p := &image.Proc{Name: "main", NumArgs: 0, NumLocals: 0}
-		var a image.Asm
-		a.Emit(isa.LI1)
-		a.Emit(isa.LI0)
-		a.Emit(isa.DIV)
-		a.Emit(isa.RET)
-		p.Body = a.Fragment()
-		mod := &image.Module{Name: "bad", Procs: []*image.Proc{p}}
-		prog := linkOne(t, mod, "main", linker.Options{})
-		i := bytes.Index(prog.Code, []byte{byte(isa.LI1), byte(isa.LI0), byte(isa.DIV)})
-		if i < 0 {
-			t.Fatal("triple not found in linked code")
-		}
-
-		_, _, fusedErr, plainErr, _, _ := fusedAndPlain(t, prog, i, isa.FPushPushALU)
-		if plainErr == nil || fusedErr == nil {
-			t.Fatalf("trap did not fail: fused=%v plain=%v", fusedErr, plainErr)
-		}
+	t.Run("div-zero trap", func(t *testing.T) {
 		// The trap fires after DIV retired: both the trap text and the
 		// wrapper report the post-advance pc (the RET's byte address, i+3).
+		prog, i := linkBad(t, []byte{byte(isa.LI1), byte(isa.LI0), byte(isa.DIV)}, 0, func(a *image.Asm) {
+			a.Emit(isa.LI1)
+			a.Emit(isa.LI0)
+			a.Emit(isa.DIV)
+			a.Emit(isa.RET)
+		})
 		pc := i + 3
 		name := prog.ProcName(uint32(pc))
-		want := fmt.Sprintf("%s at pc %06x: %s: code %d at pc %06x (%s)",
-			name, pc, ErrTrap, TrapDivZero, pc, name)
-		if plainErr.Error() != want {
-			t.Fatalf("plain error = %q, want %q", plainErr, want)
-		}
-		if fusedErr.Error() != plainErr.Error() {
-			t.Fatalf("fused error diverges from plain:\n fused %q\n plain %q", fusedErr, plainErr)
-		}
+		failsWith(t, prog, fmt.Sprintf("%s at pc %06x: %s: code %d at pc %06x (%s)",
+			name, pc, ErrTrap, TrapDivZero, pc, name))
 	})
 
 	t.Run("div-zero resumed through an in-machine handler", func(t *testing.T) {
-		// STRAP installs a handler, then a fused LIB/LI0/DIV triple traps
-		// mid-expression: the trapXfer must capture the same partial stack
-		// ([21], the word below the operands) and the same resumption state
-		// as the unfused engine — results AND metrics byte-identical.
-		mod := &image.Module{Name: "bad"}
+		// STRAP installs a handler, then 5/0 traps mid-expression: the trap
+		// transfer must preserve the partial stack ([21], the word below the
+		// operands) beneath the handler's result.
 		handler := &image.Proc{Name: "handler", NumArgs: 1, NumLocals: 1}
-		{
-			var a image.Asm
-			a.Emit(isa.LL0)
-			a.Emit(isa.LI2)
-			a.Emit(isa.MUL)
-			a.Emit(isa.RET)
-			handler.Body = a.Fragment()
-		}
-		p := &image.Proc{Name: "main", NumArgs: 0, NumLocals: 0}
-		{
-			var a image.Asm
+		var h image.Asm
+		h.Emit(isa.LL0)
+		h.Emit(isa.LI2)
+		h.Emit(isa.MUL)
+		h.Emit(isa.RET)
+		handler.Body = h.Fragment()
+		prog, _ := linkBad(t, []byte{byte(isa.LIB), 5, byte(isa.LI0), byte(isa.DIV)}, 0, func(a *image.Asm) {
 			a.EmitLoadLocalDesc(1)
 			a.Emit(isa.STRAP)
 			a.Emit(isa.LIB, 21)
@@ -238,28 +168,13 @@ func TestFusedErrorPathFidelity(t *testing.T) {
 			a.Emit(isa.DIV) // 5/0 traps; handler(TrapDivZero) = 2*TrapDivZero
 			a.Emit(isa.ADD) // 21 + handler result
 			a.Emit(isa.RET)
-			p.Body = a.Fragment()
+		}, handler)
+		res, err := callBad(t, prog)
+		if err != nil {
+			t.Fatalf("handled trap failed the run: %v", err)
 		}
-		mod.Procs = []*image.Proc{p, handler}
-		prog := linkOne(t, mod, "main", linker.Options{})
-		i := bytes.Index(prog.Code, []byte{byte(isa.LIB), 5, byte(isa.LI0), byte(isa.DIV)})
-		if i < 0 {
-			t.Fatal("triple not found in linked code")
-		}
-
-		fusedRes, plainRes, fusedErr, plainErr, fused, plain := fusedAndPlain(t, prog, i, isa.FPushPushALU)
-		if fusedErr != nil || plainErr != nil {
-			t.Fatalf("handled trap failed the run: fused=%v plain=%v", fusedErr, plainErr)
-		}
-		want := []mem.Word{21 + 2*TrapDivZero}
-		if !reflect.DeepEqual(plainRes, want) {
-			t.Fatalf("plain results = %v, want %v", plainRes, want)
-		}
-		if !reflect.DeepEqual(fusedRes, plainRes) {
-			t.Fatalf("fused results = %v, plain = %v", fusedRes, plainRes)
-		}
-		if !reflect.DeepEqual(fused.Metrics(), plain.Metrics()) {
-			t.Fatalf("fused metrics diverge from plain:\n fused %+v\n plain %+v", fused.Metrics(), plain.Metrics())
+		if want := []mem.Word{21 + 2*TrapDivZero}; !reflect.DeepEqual(res, want) {
+			t.Fatalf("results = %v, want %v", res, want)
 		}
 	})
 }

@@ -31,13 +31,8 @@ type LoadedImage struct {
 	stdFSI   int          // size class of the standard frame; -1 disabled
 	// insts is the predecoded instruction stream: one slot per code byte,
 	// built once here and shared read-only by every machine (the
-	// decode-once engine's input; see isa.Predecode), with superinstruction
-	// annotations from isa.Fuse unless cfg.NoFuse.
+	// decode-once engine's input; see isa.Predecode).
 	insts []isa.Inst
-	// thread is the threaded code for certified images (nil otherwise, or
-	// when cfg.NoFuse): one pre-bound dispatch closure per code byte,
-	// shared read-only like insts. See thread.go.
-	thread []threadStep
 
 	// report is the static verifier's result when WithVerify was requested
 	// (nil otherwise). certified selects the unchecked handler table for
@@ -125,20 +120,7 @@ func LoadImage(prog *image.Program, cfg Config, opts ...LoadOption) (*LoadedImag
 	if err != nil {
 		return nil, err
 	}
-	if !cfg.NoFuse {
-		// Fuse the stream in place; the slice is private to this image.
-		// When the verifier ran, its call graph gates FPushCall: only call
-		// sites with a statically pinned callee fuse.
-		var fopt isa.FuseOptions
-		if img.report != nil {
-			fopt.FuseCall = img.report.CallFusable
-		}
-		isa.Fuse(insts, fopt)
-	}
 	img.insts = insts
-	if img.certified && !cfg.NoFuse {
-		img.thread = buildThread(insts)
-	}
 	store := mem.New()
 	prog.Load(store)
 	h, err := frames.New(store, img.heapConfig())
@@ -213,7 +195,6 @@ func (img *LoadedImage) ResetElide() bool { return img.resetElide }
 func (img *LoadedImage) MemoryFootprint() int64 {
 	n := int64(len(img.boot)) * int64(unsafe.Sizeof(mem.Word(0)))
 	n += int64(len(img.insts)) * int64(unsafe.Sizeof(isa.Inst{}))
-	n += int64(len(img.thread)) * int64(unsafe.Sizeof(threadStep{}))
 	n += int64(len(img.prog.Code))
 	n += int64(len(img.prog.Data)) * int64(unsafe.Sizeof(image.DataWord{}))
 	n += int64(len(img.bootFree)) * int64(unsafe.Sizeof(mem.Addr(0)))
@@ -251,13 +232,6 @@ func (img *LoadedImage) NewMachine() (*Machine, error) {
 	}
 	if img.certified {
 		m.h = &certHandlers
-	}
-	if !img.cfg.NoFuse {
-		m.fused = &fusedHandlers
-		if img.certified {
-			m.fused = &certFusedHandlers
-			m.thread = img.thread
-		}
 	}
 	m.rec = histRecorder{&m.metrics}
 	m.m.LoadFrom(img.boot)

@@ -36,14 +36,6 @@ type Config struct {
 	HeapCheck bool
 	// MaxSteps bounds a run (default 200M instructions).
 	MaxSteps uint64
-	// NoFuse disables superinstruction fusion and threaded dispatch: the
-	// image's predecoded stream is left unannotated and Run dispatches one
-	// architectural instruction at a time. Fusion is architecturally
-	// invisible, so NoFuse does not participate in continuation config
-	// identity (see ConfigKey): a context parked by a fused machine resumes
-	// on an unfused one and vice versa. It exists for A/B measurement and
-	// for the difffuzz fused-vs-plain oracle.
-	NoFuse bool
 	// Trap, when set, handles TRAPB and runtime traps; returning an error
 	// halts the machine. When nil any trap is fatal.
 	Trap func(m *Machine, code int) error
@@ -99,17 +91,10 @@ type Machine struct {
 	// insts is the image's shared predecoded instruction stream, indexed
 	// by byte pc — the decode-once engine's read-only dispatch input.
 	insts []isa.Inst
-	// h is the dispatch table this machine runs: the checked default, or
-	// the certified table (no per-instruction stack-bounds checks) when
+	// h is the dispatch table both Run and Step use: the checked default,
+	// or the certified table (no per-instruction stack-bounds checks) when
 	// the image carries the verifier's stack-bounds certificate.
 	h *[isa.NumOps]handlerFunc
-	// fused is the superinstruction table Run consumes for annotated group
-	// heads (nil when Config.NoFuse); thread is the certified image's
-	// threaded code, which replaces table dispatch entirely (nil for
-	// uncertified images). Step uses neither — it always retires exactly
-	// one architectural instruction through h.
-	fused  *[isa.NumFusedOps]fusedFunc
-	thread []threadStep
 
 	// Processor registers.
 	pc        uint32 // absolute code byte address

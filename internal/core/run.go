@@ -76,21 +76,10 @@ const cancelCheckInterval = 1024
 // The loop is the decode-once engine's fast path: the budget and cancel
 // countdowns are batched into a pause point ahead of time, so the inner
 // loop executes predecoded instructions with nothing between them but a
-// table index and the handler call — or, on a certified image, nothing at
-// all: the threaded code pre-binds handler, successor pc and retirement
-// count per slot, so each step is one closure call.
-//
-// Fused groups retire several architectural instructions per dispatch, so
-// the loop counts retirements rather than trips: a group is taken only
-// when it fits inside the remaining batch (retire <= n), and otherwise
-// that pc executes one plain instruction. Budget and cancel cuts therefore
-// land on exactly the instruction the per-step checks would have picked,
-// the machine always pauses at an architectural boundary, and segmented
-// runs merge to byte-identical metrics. The group handlers advance the
-// retired-instruction counter themselves, member by member (see fuse.go) —
-// the loop only drains its batch by the reported retirement — so the
-// counter is exact even when a Go-level hook panics out of the loop
-// mid-group.
+// table index and the handler call. Each trip retires exactly one
+// instruction, which is what makes the batching exact: the inner loop
+// stops on precisely the instruction the per-step checks would have, and
+// segmented runs merge to byte-identical metrics.
 func (m *Machine) Run() error {
 	limit := m.cfg.MaxSteps
 	if m.runBudget > 0 {
@@ -103,8 +92,6 @@ func (m *Machine) Run() error {
 	}
 	insts := m.insts
 	dispatch := m.dispatch()
-	fused := m.fused
-	thread := m.thread
 	ncode := uint32(len(m.code))
 	for !m.halted {
 		if m.metrics.Instructions >= limit {
@@ -125,38 +112,19 @@ func (m *Machine) Run() error {
 				stop = m.cancelNext
 			}
 		}
-		for n := stop - m.metrics.Instructions; n > 0 && !m.halted; {
+		for n := stop - m.metrics.Instructions; n > 0 && !m.halted; n-- {
 			pc := m.pc
 			if pc >= ncode {
 				return fmt.Errorf("%s at pc %06x: %w", m.prog.ProcName(pc), pc,
 					isa.ErrPCRange(int(pc), int(ncode)))
-			}
-			if thread != nil {
-				if st := &thread[pc]; st.run != nil && uint64(st.retire) <= n {
-					r, err := st.run(m)
-					n -= uint64(r)
-					if err != nil {
-						return fmt.Errorf("%s at pc %06x: %w", m.prog.ProcName(m.pc), m.pc, err)
-					}
-					continue
-				}
 			}
 			in := &insts[pc]
 			if !in.Valid() {
 				return fmt.Errorf("%s at pc %06x: %w", m.prog.ProcName(pc), pc,
 					in.Err(m.code, int(pc)))
 			}
-			if fused != nil && in.FLen > 1 && uint64(in.FLen) <= n {
-				r, err := fused[in.FOp](m, in, pc)
-				n -= uint64(r)
-				if err != nil {
-					return fmt.Errorf("%s at pc %06x: %w", m.prog.ProcName(m.pc), m.pc, err)
-				}
-				continue
-			}
 			m.pc = pc + uint32(in.Size)
 			m.metrics.Instructions++
-			n--
 			m.cycles += CycDispatch
 			if err := dispatch[in.Op](m, in); err != nil {
 				return fmt.Errorf("%s at pc %06x: %w", m.prog.ProcName(m.pc), m.pc, err)

@@ -206,104 +206,6 @@ func TestSnapshotEveryBoundary(t *testing.T) {
 	}
 }
 
-// TestSnapshotFusedBoundaryAccounting: under fusion — both the checked
-// fused table and the certified threaded backend — a budget probe whose
-// remaining count lands inside a superinstruction must park at an
-// architectural boundary with the cut taken at exactly the requested
-// instruction count, and the per-segment Instructions/simcycle counters
-// must merge byte-identically to the uninterrupted (and the unfused) run.
-// The sweep parks at every boundary of a fib run and additionally proves
-// that some parks land on interior members of fused groups, i.e. the
-// boundary case is really exercised.
-func TestSnapshotFusedBoundaryAccounting(t *testing.T) {
-	prog := linkOne(t, fibModule(), "main", linker.Options{})
-	args := []mem.Word{8}
-
-	cfgNo := ConfigFastCalls
-	cfgNo.NoFuse = true
-	imgPlain, err := LoadImage(prog, cfgNo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plainWant, plainRes := uninterrupted(t, imgPlain, args...)
-
-	for _, tc := range []struct {
-		name string
-		opts []LoadOption
-	}{
-		{"checked", nil},
-		{"certified", []LoadOption{WithVerify()}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			img, err := LoadImage(prog, ConfigFastCalls, tc.opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if tc.name == "certified" && !img.Certified() {
-				t.Fatal("fib image did not certify; the threaded backend is untested")
-			}
-			// Map the interior member pcs of every fused group, and require
-			// the image to contain fused groups at all.
-			insts := img.Insts()
-			interior := map[uint32]bool{}
-			groups := 0
-			for pc := range insts {
-				in := &insts[pc]
-				if in.FLen <= 1 {
-					continue
-				}
-				groups++
-				p := uint32(pc)
-				for j := uint8(1); j < in.FLen; j++ {
-					p += uint32(insts[p].Size)
-					interior[p] = true
-				}
-			}
-			if groups == 0 {
-				t.Fatal("fib image contains no fused groups; the sweep would test nothing")
-			}
-
-			want, wantRes := uninterrupted(t, img, args...)
-			// Fusion is architecturally invisible: the uninterrupted fused
-			// run must already be byte-identical to the unfused one.
-			if !reflect.DeepEqual(wantRes, plainRes) {
-				t.Fatalf("fused results = %v, unfused = %v", wantRes, plainRes)
-			}
-			if !reflect.DeepEqual(want.Metrics(), plainWant.Metrics()) {
-				t.Fatalf("fused metrics diverge from unfused:\n fused %+v\n plain %+v", want.Metrics(), plainWant.Metrics())
-			}
-
-			total := want.Metrics().Instructions
-			sawInterior := false
-			for k := uint64(1); k < total; k++ {
-				got, gotMetrics := runSegmented(t, img, []uint64{k}, args...)
-				compareRuns(t, want, got, wantRes, gotMetrics)
-
-				// Probe the park point: the cut must be exact and must rest
-				// on an architectural boundary (any byte pc is one — note
-				// when it is an interior member of a fused group).
-				m, err := img.NewMachine()
-				if err != nil {
-					t.Fatal(err)
-				}
-				m.SetRunBudget(k)
-				if _, err := m.Call(img.Entry(), args...); !errors.Is(err, ErrMaxSteps) {
-					t.Fatalf("cut %d: %v", k, err)
-				}
-				if n := m.Metrics().Instructions; n != k {
-					t.Fatalf("cut %d parked after %d instructions; fused dispatch overran the budget", k, n)
-				}
-				if interior[m.PC()] {
-					sawInterior = true
-				}
-			}
-			if !sawInterior {
-				t.Fatal("no park point ever landed inside a fused group; the mid-superinstruction case is untested")
-			}
-		})
-	}
-}
-
 // TestSnapshotLeavesSourceRunnable: Snapshot must not perturb the source
 // machine — it can keep running to an end state identical to the
 // uninterrupted run's, while the continuation stays independently valid.

@@ -50,7 +50,7 @@ func (m *Machine) dispatch() *[isa.NumOps]handlerFunc {
 // charged when a handler runs.
 type handlerFunc func(*Machine, *isa.Inst) error
 
-// handlers is the threaded dispatch table, indexed by opcode. Every
+// handlers is the checked dispatch table, indexed by opcode. Every
 // defined opcode has a non-nil entry (asserted by TestHandlerTableTotal);
 // undefined opcodes never reach the table because predecode marks them
 // invalid.

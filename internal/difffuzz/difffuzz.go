@@ -26,15 +26,12 @@
 //     round-tripped through the continuation wire codec, and resumed on
 //     different machines is byte-identical to the uninterrupted run —
 //     results, output, halt state and the merge of per-segment metrics;
-//   - superinstruction fusion is unobservable: a fused image (the default)
-//     behaves byte-identically to a NoFuse image — results, output, halt
-//     state, the exact error text of every failure, and every metrics
-//     counter — under both linkage policies, on every configuration, for
-//     both the checked table and (when the certificate is granted) the
-//     certified/threaded backend. Fusion is also crossed with the
-//     Step-vs-Run oracle for free: Step always retires one architectural
-//     instruction, so the step-driven machine exercises the per-member
-//     path against the same image's fused Run loop.
+//   - a certified image (the verifier's stack-bounds certificate selects
+//     the unchecked handler table) is byte-identical to the checked table
+//     on the same program — results, output, halt state, the exact error
+//     text of every failure, and every metrics counter;
+//   - an elided Reset (the heap-effects certificate) is byte-identical to
+//     the full restore, and the static dirty bound holds.
 //
 // The paper asserts (§6, §8) that the optimized implementations "behave
 // identically — only space and speed change"; this package turns that
@@ -79,7 +76,6 @@ const (
 	KindVerify       FailKind = "verify"       // static verifier rejects (or panics on) compiler output
 	KindCertify      FailKind = "certify"      // certified (unchecked) execution diverges from checked
 	KindParkResume   FailKind = "parkresume"   // park/resume chain not byte-identical to uninterrupted
-	KindFused        FailKind = "fused"        // fused (superinstruction) dispatch diverges from plain
 	KindResetElide   FailKind = "resetelide"   // elided Reset not byte-identical to a full Reset / dirty bound violated
 )
 
@@ -219,13 +215,7 @@ func Check(p *workload.Program) error {
 		return err
 	}
 
-	// Phase 2b: the fused-vs-plain differential — superinstruction fusion
-	// and threaded dispatch must be unobservable.
-	if err := checkFused(p); err != nil {
-		return err
-	}
-
-	// Phase 2c: the Reset-elision oracle — a verified image's Reset (which
+	// Phase 2b: the Reset-elision oracle — a verified image's Reset (which
 	// may skip the memory restore on the heap-effects certificate) must be
 	// byte-identical to the full restore, and the static dirty bound must
 	// hold on the wire.
@@ -452,93 +442,6 @@ func checkReset(p *workload.Program) error {
 					c.name, early, reused.results, reused.output, fullRec.results, fullRec.output)
 			}
 		}
-	}
-	return nil
-}
-
-// checkFused is the fused-vs-plain oracle: under both linkage policies and
-// on every configuration, the image the loader fuses by default must be
-// behaviourally indistinguishable from a NoFuse load of the same program —
-// same results, output, halt state, the exact error text of any failure,
-// and every metrics counter. When the verifier grants the stack-bounds
-// certificate the comparison repeats on the certified tables, pitting the
-// per-image threaded backend against the plain certified dispatch loop.
-func checkFused(p *workload.Program) error {
-	for _, early := range []bool{false, true} {
-		prog, _, err := p.Build(linker.Options{EarlyBind: early})
-		if err != nil {
-			return failf(KindBuild, "early=%v: %v", early, err)
-		}
-		rep, err := safeVerify(prog)
-		if err != nil {
-			return err
-		}
-		for _, c := range configs {
-			cfg := c.cfg
-			cfg.HeapCheck = true
-			cfgNo := cfg
-			cfgNo.NoFuse = true
-			fused, err := core.LoadImage(prog, cfg)
-			if err != nil {
-				return failf(KindRun, "%s early=%v: load: %v", c.name, early, err)
-			}
-			plain, err := core.LoadImage(prog, cfgNo)
-			if err != nil {
-				return failf(KindRun, "%s early=%v: NoFuse load: %v", c.name, early, err)
-			}
-			if err := diffFused(c.name, early, "checked", fused, plain, p); err != nil {
-				return err
-			}
-			if !rep.CertStackBounds {
-				continue
-			}
-			fusedC, err := core.LoadImage(prog, cfg, core.WithVerify())
-			if err != nil {
-				return failf(KindFused, "%s early=%v: verified load: %v", c.name, early, err)
-			}
-			plainC, err := core.LoadImage(prog, cfgNo, core.WithVerify())
-			if err != nil {
-				return failf(KindFused, "%s early=%v: verified NoFuse load: %v", c.name, early, err)
-			}
-			if err := diffFused(c.name, early, "certified", fusedC, plainC, p); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// diffFused runs p on a fused and a NoFuse machine over the same build and
-// demands byte-identical behaviour, error texts included. A panic on the
-// fused side (a superinstruction walking off the decoded stream, say) is
-// caught and reported as the failure.
-func diffFused(name string, early bool, table string, fused, plain *core.LoadedImage, p *workload.Program) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = failf(KindFused, "%s early=%v %s: fused run panicked: %v", name, early, table, r)
-		}
-	}()
-	mf, gf, errF := runFresh(fused, p)
-	mp, gp, errP := runFresh(plain, p)
-	switch {
-	case (errF == nil) != (errP == nil):
-		return failf(KindFused, "%s early=%v %s: fused err %v, plain err %v", name, early, table, errF, errP)
-	case errF != nil:
-		if errF.Error() != errP.Error() {
-			return failf(KindFused, "%s early=%v %s: fused err %q, plain err %q", name, early, table, errF, errP)
-		}
-		return nil
-	}
-	if !gf.equal(gp) {
-		return failf(KindFused, "%s early=%v %s: fused %v/%v, plain %v/%v",
-			name, early, table, gf.results, gf.output, gp.results, gp.output)
-	}
-	if mf.Halted() != mp.Halted() {
-		return failf(KindFused, "%s early=%v %s: halted %v vs %v", name, early, table, mf.Halted(), mp.Halted())
-	}
-	if !reflect.DeepEqual(mf.Metrics().Clone(), mp.Metrics().Clone()) {
-		return failf(KindFused, "%s early=%v %s: fused metrics diverge from plain:\nfused %+v\nplain %+v",
-			name, early, table, mf.Metrics(), mp.Metrics())
 	}
 	return nil
 }

@@ -87,8 +87,7 @@ func TestPushdownSeedCoverage(t *testing.T) {
 
 // TestPushdownSeedDifferential pushes every pinned seed through the full
 // oracle: the newly certified programs must behave byte-identically on the
-// checked, certified, fused-certified and threaded tables (checkVerify and
-// checkFused cover all four, plus the NoFuse toggles).
+// checked and certified tables (checkVerify runs both).
 func TestPushdownSeedDifferential(t *testing.T) {
 	for _, c := range pushdownSeeds {
 		if err := CheckSeed(c.seed); err != nil {

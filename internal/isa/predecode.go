@@ -28,17 +28,6 @@ type Inst struct {
 	// for jumps the already-added opAddr+offset, for DCALL/SDCALL the
 	// header address.
 	Target uint32
-
-	// Superinstruction annotation, filled by the optional Fuse pass (zero
-	// when unfused). FOp names the synthesized handler for the group that
-	// begins at this slot, FLen the architectural instructions it covers,
-	// and FEnd the byte pc just past the group's last member. Annotations
-	// never alter the architectural fields above: a slot describes
-	// execution beginning at itself, so jumps into the middle of another
-	// slot's group stay well-defined.
-	FOp  FusedOp
-	FLen uint8
-	FEnd uint32
 }
 
 // HeaderSkip is the distance from a direct call's header address to the

@@ -1,7 +1,7 @@
 // Package lint is the repo's own static-analysis pass, in the style of a
 // go/analysis analyzer but built on the standard library alone (go/ast,
 // go/parser), since the tree must build with no external modules. It
-// checks three invariants that the compiler cannot:
+// checks four invariants that the compiler cannot:
 //
 //  1. Every isa opcode (NOOP..STRAP, everything before NumOps) has exactly
 //     one entry in the isa metadata table (the `infos` composite literal),
@@ -16,26 +16,10 @@
 //     nil handler — a crash on first dispatch; a doubly-covered one means
 //     a range overlap silently shadowing a handler.
 //  3. Every handler retires exactly one instruction-count unit: the
-//     m.metrics.Instructions counter is advanced only at the dispatch
-//     sites — by ++ exactly once each in Run's plain inner path and Step,
-//     plus the pre-bound step closures buildThread compiles — and never
-//     inside a per-opcode handler, which would double-charge the step
-//     budget for its opcode. Fused superinstruction handlers are the one
-//     sanctioned exception: a group handler retires its own members
-//     (counting before each member's semantics is what keeps the counter
-//     exact when a Go-level trap hook panics mid-group, since the count
-//     the handler returns never reaches the dispatch site on a panic).
-//     Functions whose signature matches the declared fusedFunc type may
-//     therefore advance the counter by ++ per member (the checked table's
-//     discipline) or by one literal `+= 2` / `+= 3` batch (the certified
-//     table's, where no member can fault mid-group). Any other assignment
-//     anywhere is a violation.
-//  4. The fused-op metadata and tables mirror invariants 1 and 2: every
-//     FusedOp (FNone..NumFusedOps) has exactly one fusedInfos entry with a
-//     matching Name and a group length of 2 or 3 instructions (0 for the
-//     FNone sentinel, which fuses nothing), and every FusedOp except FNone
-//     acquires exactly one handler in core's `fusedHandlers` table. These
-//     checks engage only when the isa package declares a FusedOp block.
+//     m.metrics.Instructions counter is advanced only at the two dispatch
+//     sites (Run's inner loop and Step), once each, and never inside a
+//     handler — a handler that bumped it would double-charge the step
+//     budget for its opcode.
 //  5. The heap-effect column of the isa metadata is total: every opcode is
 //     covered by exactly one heap(class, lo, hi) fill, each fill names a
 //     declared HeapEffect constant, and each range is non-empty. The
@@ -45,10 +29,12 @@
 //     not a crash. Engages only when the isa package declares a HeapEffect
 //     block.
 //
-// The certified tables (cert.go, and certFusedHandlers in fuse.go) are
-// exempt by construction: each is a copy of its checked counterpart made
-// after init, so invariants 2 and 4 cover them transitively, and their
-// handlers are checked by invariant 3 like any other core function.
+// Invariant numbers are stable; 4 (the superinstruction tables) was
+// retired with them.
+//
+// The certified table (cert.go) is exempt by construction: it is a copy of
+// `handlers` made after init, so invariant 2 covers it transitively, and
+// its handlers are checked by invariant 3 like any other core function.
 package lint
 
 import (
@@ -109,7 +95,7 @@ func parseDir(fset *token.FileSet, dir string) ([]*ast.File, error) {
 	return files, nil
 }
 
-// analyze runs all three checks. It is the testable core: synthetic
+// analyze runs all four checks. It is the testable core: synthetic
 // negative cases hand it small parsed files directly.
 func analyze(fset *token.FileSet, isaFiles, coreFiles []*ast.File) []Diagnostic {
 	var diags []Diagnostic
@@ -129,19 +115,13 @@ func analyze(fset *token.FileSet, isaFiles, coreFiles []*ast.File) []Diagnostic 
 			checkHeapEffects(isaFiles, ops, opPos, classes, report)
 		}
 	}
-	fops, fopPos := fusedConsts(isaFiles, report)
-	if fops != nil {
-		checkFusedInfos(isaFiles, fops, fopPos, report)
-		checkFusedHandlers(coreFiles, fops, fopPos, report)
-	}
 	checkRetirement(coreFiles, report)
 	return diags
 }
 
 // heapEffectConsts collects the names declared in the HeapEffect const
 // block (the classes the verifier's write-set analysis keys on). Nil when
-// the isa package declares no such block — invariant 5 then disengages,
-// like the fused checks without a FusedOp block.
+// the isa package declares no such block — invariant 5 then disengages.
 func heapEffectConsts(isaFiles []*ast.File) map[string]bool {
 	for _, f := range isaFiles {
 		for _, decl := range f.Decls {
@@ -236,24 +216,6 @@ func checkHeapEffects(isaFiles []*ast.File, ops []string, opPos map[string]token
 // opcode names (value = index) excluding the NumOps sentinel, which must
 // be the block's final name.
 func opcodeConsts(isaFiles []*ast.File, report func(token.Pos, string, ...any)) ([]string, map[string]token.Pos) {
-	names, pos, found := iotaConsts(isaFiles, "Op", "NumOps", report)
-	if !found {
-		report(token.NoPos, "no iota const block of type Op found in package isa")
-	}
-	return names, pos
-}
-
-// fusedConsts recovers the fused-opcode numbering (the FusedOp const block
-// ending with NumFusedOps). Unlike the Op block it is optional: when the
-// isa package declares no fused ops, the fused checks simply do not engage.
-func fusedConsts(isaFiles []*ast.File, report func(token.Pos, string, ...any)) ([]string, map[string]token.Pos) {
-	names, pos, _ := iotaConsts(isaFiles, "FusedOp", "NumFusedOps", report)
-	return names, pos
-}
-
-// iotaConsts finds the iota const block of the named type and returns its
-// ordered names (value = index) excluding the required trailing sentinel.
-func iotaConsts(isaFiles []*ast.File, typeName, sentinel string, report func(token.Pos, string, ...any)) ([]string, map[string]token.Pos, bool) {
 	for _, f := range isaFiles {
 		for _, decl := range f.Decls {
 			gd, ok := decl.(*ast.GenDecl)
@@ -261,7 +223,7 @@ func iotaConsts(isaFiles []*ast.File, typeName, sentinel string, report func(tok
 				continue
 			}
 			first, ok := gd.Specs[0].(*ast.ValueSpec)
-			if !ok || !isIdent(first.Type, typeName) {
+			if !ok || !isIdent(first.Type, "Op") {
 				continue
 			}
 			var names []string
@@ -273,14 +235,15 @@ func iotaConsts(isaFiles []*ast.File, typeName, sentinel string, report func(tok
 					pos[n.Name] = n.Pos()
 				}
 			}
-			if len(names) < 2 || names[len(names)-1] != sentinel {
-				report(gd.Pos(), "%s const block must end with the %s sentinel", typeName, sentinel)
-				return nil, nil, true
+			if len(names) < 2 || names[len(names)-1] != "NumOps" {
+				report(gd.Pos(), "opcode const block must end with the NumOps sentinel")
+				return nil, nil
 			}
-			return names[:len(names)-1], pos, true
+			return names[:len(names)-1], pos
 		}
 	}
-	return nil, nil, false
+	report(token.NoPos, "no iota const block of type Op found in package isa")
+	return nil, nil
 }
 
 // checkInfos verifies the `infos` composite literal covers every opcode
@@ -342,7 +305,7 @@ func checkHandlers(coreFiles []*ast.File, ops []string, opPos map[string]token.P
 			if !ok || fd.Name.Name != "init" || fd.Recv != nil || fd.Body == nil {
 				continue
 			}
-			if simulateInit(fd.Body, "handlers", "Op", opVal, counts, report) {
+			if simulateInit(fd.Body, opVal, counts, report) {
 				found = true
 			}
 		}
@@ -361,115 +324,14 @@ func checkHandlers(coreFiles []*ast.File, ops []string, opPos map[string]token.P
 	}
 }
 
-// checkFusedInfos verifies the `fusedInfos` metadata literal covers every
-// fused opcode exactly once with a matching Name, and that the recorded
-// group length is architecturally sensible: 0 for the FNone sentinel,
-// 2 or 3 instructions for every real superinstruction. The engine's
-// budget gating and the disassembler's fused mode both read this table,
-// so a wrong Len would silently misattribute retirement counts.
-func checkFusedInfos(isaFiles []*ast.File, fops []string, fopPos map[string]token.Pos, report func(token.Pos, string, ...any)) {
-	lit := findVarLiteral(isaFiles, "fusedInfos")
-	if lit == nil {
-		report(token.NoPos, "no `var fusedInfos = [NumFusedOps]FusedInfo{...}` literal found in package isa")
-		return
-	}
-	fopSet := map[string]bool{}
-	for _, op := range fops {
-		fopSet[op] = true
-	}
-	seen := map[string]int{}
-	for _, elt := range lit.Elts {
-		kv, ok := elt.(*ast.KeyValueExpr)
-		if !ok {
-			report(elt.Pos(), "fusedInfos entry without a fused-opcode key")
-			continue
-		}
-		key, ok := kv.Key.(*ast.Ident)
-		if !ok {
-			report(kv.Pos(), "fusedInfos key is not a fused-opcode identifier")
-			continue
-		}
-		if !fopSet[key.Name] {
-			report(kv.Pos(), "fusedInfos key %s is not a defined fused opcode", key.Name)
-			continue
-		}
-		seen[key.Name]++
-		if name := fieldString(kv.Value, "Name"); name != "" && name != key.Name {
-			report(kv.Pos(), "fusedInfos[%s].Name is %q; table name must match the fused opcode", key.Name, name)
-		}
-		if n, ok := fieldInt(kv.Value, "Len"); ok {
-			if key.Name == "FNone" {
-				if n != 0 {
-					report(kv.Pos(), "fusedInfos[FNone].Len is %d; the sentinel fuses nothing", n)
-				}
-			} else if n < 2 || n > 3 {
-				report(kv.Pos(), "fusedInfos[%s].Len is %d; a superinstruction retires 2 or 3 architectural instructions", key.Name, n)
-			}
-		}
-	}
-	for _, op := range fops {
-		switch seen[op] {
-		case 1:
-		case 0:
-			report(fopPos[op], "fused opcode %s has no fusedInfos entry", op)
-		default:
-			report(fopPos[op], "fused opcode %s has %d fusedInfos entries, want exactly 1", op, seen[op])
-		}
-	}
-}
-
-// checkFusedHandlers simulates the fused dispatch-table registrations and
-// verifies every fused opcode except the FNone sentinel lands exactly one
-// handler — and that nothing registers a handler for FNone, whose slot
-// the engine never dispatches (an annotated group head always has FLen>1).
-func checkFusedHandlers(coreFiles []*ast.File, fops []string, fopPos map[string]token.Pos, report func(token.Pos, string, ...any)) {
-	fopVal := map[string]int{}
-	for i, op := range fops {
-		fopVal[op] = i
-	}
-	counts := make([]int, len(fops))
-	found := false
-	for _, f := range coreFiles {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Name.Name != "init" || fd.Recv != nil || fd.Body == nil {
-				continue
-			}
-			if simulateInit(fd.Body, "fusedHandlers", "FusedOp", fopVal, counts, report) {
-				found = true
-			}
-		}
-	}
-	if !found {
-		return // package under test has no fused-table init; nothing to check
-	}
-	for i, op := range fops {
-		want := 1
-		if op == "FNone" {
-			want = 0
-		}
-		switch {
-		case counts[i] == want:
-		case counts[i] == 0:
-			report(fopPos[op], "fused opcode %s has no handler in core's fused dispatch table (nil entry: crash on first fused dispatch)", op)
-		case op == "FNone":
-			report(fopPos[op], "the FNone sentinel must not be registered in core's fused dispatch table")
-		default:
-			report(fopPos[op], "fused opcode %s is registered %d times in core's fused dispatch table, want exactly 1", op, counts[i])
-		}
-	}
-}
-
-// registrar describes a local closure that writes into the dispatch table
-// under simulation: which of its parameters name opcodes. One op param
-// (one) registers a single opcode; two (set) register the inclusive range
-// between them.
+// registrar describes a local closure that writes into `handlers`: which
+// of its parameters name opcodes. One op param (one) registers a single
+// opcode; two (set) register the inclusive range between them.
 type registrar struct{ opParams int }
 
-// simulateInit walks one init body, simulating registrations into the
-// named table (indexed by constants of the named isa type). It reports
-// whether the body touched that table at all.
-func simulateInit(body *ast.BlockStmt, table, opType string, opVal map[string]int, counts []int, report func(token.Pos, string, ...any)) bool {
+// simulateInit walks one init body. It reports whether the body touched
+// the `handlers` table at all.
+func simulateInit(body *ast.BlockStmt, opVal map[string]int, counts []int, report func(token.Pos, string, ...any)) bool {
 	touched := false
 	regs := map[string]registrar{}
 	resolve := func(e ast.Expr) (int, bool) {
@@ -492,12 +354,12 @@ func simulateInit(body *ast.BlockStmt, table, opType string, opVal map[string]in
 	for _, stmt := range body.List {
 		as, ok := stmt.(*ast.AssignStmt)
 		if ok && len(as.Lhs) == 1 && len(as.Rhs) == 1 {
-			// A closure registrar: name := func(...) { ... table[...] = ... }
+			// A closure registrar: name := func(...) { ... handlers[...] = ... }
 			if name, ok := as.Lhs[0].(*ast.Ident); ok {
-				if fl, ok := as.Rhs[0].(*ast.FuncLit); ok && writesTable(fl.Body, table) {
+				if fl, ok := as.Rhs[0].(*ast.FuncLit); ok && writesHandlers(fl.Body) {
 					n := 0
 					for _, fld := range fl.Type.Params.List {
-						if isSelector(fld.Type, "isa", opType) || isIdent(fld.Type, opType) {
+						if isSelector(fld.Type, "isa", "Op") || isIdent(fld.Type, "Op") {
 							n += len(fld.Names)
 						}
 					}
@@ -508,13 +370,13 @@ func simulateInit(body *ast.BlockStmt, table, opType string, opVal map[string]in
 					continue
 				}
 			}
-			// A direct registration: table[isa.X] = f
-			if ix, ok := as.Lhs[0].(*ast.IndexExpr); ok && isIdent(ix.X, table) {
+			// A direct registration: handlers[isa.X] = f
+			if ix, ok := as.Lhs[0].(*ast.IndexExpr); ok && isIdent(ix.X, "handlers") {
 				touched = true
 				if v, ok := resolve(ix.Index); ok {
 					add(as.Pos(), v, v)
 				} else {
-					report(as.Pos(), "%s index is not a constant isa opcode; the pass cannot prove coverage", table)
+					report(as.Pos(), "handlers index is not a constant isa opcode; the pass cannot prove coverage")
 				}
 				continue
 			}
@@ -559,13 +421,13 @@ func simulateInit(body *ast.BlockStmt, table, opType string, opVal map[string]in
 	return touched
 }
 
-// writesTable reports whether a closure body assigns into the named table.
-func writesTable(body *ast.BlockStmt, table string) bool {
+// writesHandlers reports whether a closure body assigns into `handlers`.
+func writesHandlers(body *ast.BlockStmt) bool {
 	found := false
 	ast.Inspect(body, func(n ast.Node) bool {
 		if as, ok := n.(*ast.AssignStmt); ok {
 			for _, lhs := range as.Lhs {
-				if ix, ok := lhs.(*ast.IndexExpr); ok && isIdent(ix.X, table) {
+				if ix, ok := lhs.(*ast.IndexExpr); ok && isIdent(ix.X, "handlers") {
 					found = true
 				}
 			}
@@ -576,18 +438,11 @@ func writesTable(body *ast.BlockStmt, table string) bool {
 }
 
 // checkRetirement enforces invariant 3: the `.metrics.Instructions`
-// counter is advanced by ++ exactly once each in Run and Step, by ++ in
-// the step closures buildThread pre-binds, per member inside fused group
-// handlers (any function matching the declared fusedFunc signature — ++
-// for the checked table, one literal `+= 2`/`+= 3` batch for the
-// certified one), and never anywhere else in package core. The fused
-// handlers count their own members because the count they return never
-// reaches the dispatch site when a Go-level hook panics mid-group — Run
-// only drains its budget batch by the report. (Metrics.Merge sums
+// counter is advanced by ++ exactly once each in Run and Step and is
+// never written anywhere else in package core. (Metrics.Merge sums
 // m.Instructions on a Metrics receiver — a different selector chain —
 // and stays exempt without a special case.)
 func checkRetirement(coreFiles []*ast.File, report func(token.Pos, string, ...any)) {
-	fused := fusedHandlerFuncs(coreFiles)
 	perFunc := map[string]int{}
 	var order []string
 	for _, f := range coreFiles {
@@ -605,11 +460,6 @@ func checkRetirement(coreFiles []*ast.File, report func(token.Pos, string, ...an
 							report(st.Pos(), "%s decrements the retired-instruction counter", name)
 							return true
 						}
-						if fused[name] || name == "buildThread" {
-							// Per-member retirement inside a group handler, or
-							// the per-slot count in a pre-bound thread step.
-							return true
-						}
 						if perFunc[name] == 0 {
 							order = append(order, name)
 						}
@@ -618,10 +468,7 @@ func checkRetirement(coreFiles []*ast.File, report func(token.Pos, string, ...an
 				case *ast.AssignStmt:
 					for _, lhs := range st.Lhs {
 						if isMetricsInstructions(lhs) {
-							if fused[name] && isBatchRetire(st) {
-								continue
-							}
-							report(st.Pos(), "%s assigns to the retired-instruction counter; only the dispatch sites may advance it by ++, and only a fused group handler may batch a literal `+= 2`/`+= 3`", name)
+							report(st.Pos(), "%s assigns to the retired-instruction counter; only the dispatch sites may advance it, by ++", name)
 						}
 					}
 				}
@@ -632,7 +479,7 @@ func checkRetirement(coreFiles []*ast.File, report func(token.Pos, string, ...an
 	want := map[string]bool{"Run": true, "Step": true}
 	for _, name := range order {
 		if !want[name] {
-			report(token.NoPos, "%s advances the retired-instruction counter; only the dispatch sites (Run, Step, buildThread's step closures) and fused group handlers retire instructions — any other function doing it double-charges its opcode", name)
+			report(token.NoPos, "%s advances the retired-instruction counter; only the dispatch sites (Run, Step) retire instructions — a handler doing it double-charges its opcode", name)
 		} else if perFunc[name] != 1 {
 			report(token.NoPos, "%s advances the retired-instruction counter %d times, want exactly 1", name, perFunc[name])
 		}
@@ -647,111 +494,6 @@ func checkRetirement(coreFiles []*ast.File, report func(token.Pos, string, ...an
 	for _, name := range missing {
 		report(token.NoPos, "dispatch site %s never advances the retired-instruction counter", name)
 	}
-}
-
-// fusedFuncType finds the declared `type fusedFunc func(...) ...`
-// signature in package core; nil when the package declares none.
-func fusedFuncType(coreFiles []*ast.File) *ast.FuncType {
-	for _, f := range coreFiles {
-		for _, decl := range f.Decls {
-			gd, ok := decl.(*ast.GenDecl)
-			if !ok || gd.Tok != token.TYPE {
-				continue
-			}
-			for _, spec := range gd.Specs {
-				ts, ok := spec.(*ast.TypeSpec)
-				if !ok || ts.Name.Name != "fusedFunc" {
-					continue
-				}
-				if ft, ok := ts.Type.(*ast.FuncType); ok {
-					return ft
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// fusedHandlerFuncs returns the names of the top-level functions whose
-// signature structurally matches the declared fusedFunc type — the
-// candidates init's registrars wire into fusedHandlers and
-// certFusedHandlers. Matching by signature (rather than re-simulating the
-// registrations) also covers the certified table, which initCertFused
-// populates outside init.
-func fusedHandlerFuncs(coreFiles []*ast.File) map[string]bool {
-	out := map[string]bool{}
-	sig := fusedFuncType(coreFiles)
-	if sig == nil {
-		return out
-	}
-	for _, f := range coreFiles {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Recv != nil || fd.Body == nil {
-				continue
-			}
-			if funcTypeEqual(fd.Type, sig) {
-				out[fd.Name.Name] = true
-			}
-		}
-	}
-	return out
-}
-
-// funcTypeEqual structurally compares two function signatures: parameter
-// and result types in order, names ignored.
-func funcTypeEqual(a, b *ast.FuncType) bool {
-	return fieldTypes(a.Params) == fieldTypes(b.Params) &&
-		fieldTypes(a.Results) == fieldTypes(b.Results)
-}
-
-// fieldTypes flattens a field list to a comparable key, repeating each
-// type once per declared name ("a, b uint32" counts twice).
-func fieldTypes(fl *ast.FieldList) string {
-	if fl == nil {
-		return ""
-	}
-	var parts []string
-	for _, f := range fl.List {
-		n := len(f.Names)
-		if n == 0 {
-			n = 1
-		}
-		key := typeKey(f.Type)
-		for i := 0; i < n; i++ {
-			parts = append(parts, key)
-		}
-	}
-	return strings.Join(parts, ",")
-}
-
-// typeKey renders a type expression to a comparable string, covering the
-// shapes core signatures use (idents, package selectors, pointers).
-func typeKey(e ast.Expr) string {
-	switch t := e.(type) {
-	case *ast.Ident:
-		return t.Name
-	case *ast.SelectorExpr:
-		return typeKey(t.X) + "." + t.Sel.Name
-	case *ast.StarExpr:
-		return "*" + typeKey(t.X)
-	}
-	return fmt.Sprintf("<%T>", e)
-}
-
-// isBatchRetire matches the certified fused handlers' batched retirement
-// form — `<expr>.metrics.Instructions += 2` (or 3), one literal add of a
-// whole group's architectural length.
-func isBatchRetire(st *ast.AssignStmt) bool {
-	if st.Tok != token.ADD_ASSIGN || len(st.Lhs) != 1 || len(st.Rhs) != 1 {
-		return false
-	}
-	bl, ok := st.Rhs[0].(*ast.BasicLit)
-	if !ok || bl.Kind != token.INT {
-		return false
-	}
-	n, err := strconv.Atoi(bl.Value)
-	return err == nil && n >= 2 && n <= 3
 }
 
 // isMetricsInstructions matches the selector chain <expr>.metrics.Instructions.
@@ -805,27 +547,6 @@ func fieldString(e ast.Expr, field string) string {
 		}
 	}
 	return ""
-}
-
-// fieldInt extracts an integer-literal struct field (Len: 3) from a
-// composite literal; ok is false when absent or not an int literal.
-func fieldInt(e ast.Expr, field string) (int, bool) {
-	cl, ok := e.(*ast.CompositeLit)
-	if !ok {
-		return 0, false
-	}
-	for _, elt := range cl.Elts {
-		kv, ok := elt.(*ast.KeyValueExpr)
-		if !ok || !isIdent(kv.Key, field) {
-			continue
-		}
-		if bl, ok := kv.Value.(*ast.BasicLit); ok && bl.Kind == token.INT {
-			if n, err := strconv.Atoi(bl.Value); err == nil {
-				return n, true
-			}
-		}
-	}
-	return 0, false
 }
 
 func isIdent(e ast.Expr, name string) bool {

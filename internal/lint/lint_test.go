@@ -165,158 +165,14 @@ func TestCounterAssignmentRejected(t *testing.T) {
 	wantDiag(t, diags, "reset assigns to the retired-instruction counter")
 }
 
-// --- fused-op metadata and table checks ---
-
-// fusedIsaSrc appends a miniature fused-op block to the isa package.
-// fusedInfos lists the given entries verbatim.
-func fusedIsaSrc(fusedInfos string) string {
-	return isaSrc(goodInfos) + `
-type FusedOp byte
-const (
-	FNone FusedOp = iota
-	FPair
-	FTriple
-	NumFusedOps
-)
-type FusedInfo struct {
-	Name string
-	Len  int
-}
-var fusedInfos = [NumFusedOps]FusedInfo{` + fusedInfos + `}
-`
-}
-
-// fusedCoreSrc builds a core package whose init also registers the given
-// fused handlers. The fixture mirrors the real engine's retirement
-// discipline: Run and Step retire plain instructions by ++, the checked
-// fused handler fh retires per member by ++, the certified-style handler
-// cfh batches a literal += 2 (both match the fusedFunc signature), and
-// buildThread's pre-bound step closure counts its single slot; Run only
-// drains its batch by the count a fused handler returns.
-func fusedCoreSrc(fusedInit, extra string) string {
-	return `package core
-import "repro/internal/isa"
-type Machine struct{ metrics struct{ Instructions uint64 } }
-type handlerFunc func(*Machine) error
-type fusedFunc func(*Machine) (int, error)
-var handlers [3]handlerFunc
-var fusedHandlers [3]fusedFunc
-var certFusedHandlers [3]fusedFunc
-func h(m *Machine) error { return nil }
-func fh(m *Machine) (int, error) {
-	m.metrics.Instructions++
-	m.metrics.Instructions++
-	return 2, nil
-}
-func cfh(m *Machine) (int, error) {
-	m.metrics.Instructions += 2
-	return 2, nil
-}
-func buildThread() []fusedFunc {
-	t := make([]fusedFunc, 1)
-	f := certFusedHandlers[1]
-	t[0] = func(m *Machine) (int, error) {
-		m.metrics.Instructions++
-		return f(m)
-	}
-	return t
-}
-func (m *Machine) Run() {
-	m.metrics.Instructions++
-	r, _ := fusedHandlers[1](m)
-	_ = r
-}
-func (m *Machine) Step() { m.metrics.Instructions++ }
-func init() {
-	one := func(f handlerFunc, op isa.Op) { handlers[op] = f }
-	one(h, isa.NOOP)
-	one(h, isa.HALT)
-	one(h, isa.ADD)
-	fone := func(f fusedFunc, op isa.FusedOp) { fusedHandlers[op] = f }
-` + fusedInit + `
-	certFusedHandlers = fusedHandlers
-	certFusedHandlers[1] = cfh
-	certFusedHandlers[2] = cfh
-}
-` + extra + `
-`
-}
-
-const goodFusedInfos = `FNone: {Name: "FNone", Len: 0}, FPair: {Name: "FPair", Len: 2}, FTriple: {Name: "FTriple", Len: 3},`
-
-const goodFusedInit = `	fone(fh, isa.FPair)
-	fone(fh, isa.FTriple)`
-
-func TestFusedSyntheticClean(t *testing.T) {
-	wantClean(t, run(t, fusedIsaSrc(goodFusedInfos), fusedCoreSrc(goodFusedInit, "")))
-}
-
-func TestFusedChecksSkipWithoutFusedOps(t *testing.T) {
-	// A tree predating fusion (no FusedOp block) stays clean.
-	wantClean(t, run(t, isaSrc(goodInfos), coreSrc(goodInit, "")))
-}
-
-func TestMissingFusedInfosEntry(t *testing.T) {
-	diags := run(t, fusedIsaSrc(`FNone: {Name: "FNone", Len: 0}, FTriple: {Name: "FTriple", Len: 3},`), fusedCoreSrc(goodFusedInit, ""))
-	wantDiag(t, diags, "FPair has no fusedInfos entry")
-}
-
-func TestFusedInfosNameMismatch(t *testing.T) {
-	diags := run(t, fusedIsaSrc(`FNone: {Name: "FNone", Len: 0}, FPair: {Name: "FDuo", Len: 2}, FTriple: {Name: "FTriple", Len: 3},`), fusedCoreSrc(goodFusedInit, ""))
-	wantDiag(t, diags, `fusedInfos[FPair].Name is "FDuo"`)
-}
-
-func TestFusedInfosBadLen(t *testing.T) {
-	diags := run(t, fusedIsaSrc(`FNone: {Name: "FNone", Len: 0}, FPair: {Name: "FPair", Len: 4}, FTriple: {Name: "FTriple", Len: 3},`), fusedCoreSrc(goodFusedInit, ""))
-	wantDiag(t, diags, "fusedInfos[FPair].Len is 4")
-}
-
-func TestMissingFusedHandler(t *testing.T) {
-	diags := run(t, fusedIsaSrc(goodFusedInfos), fusedCoreSrc(`	fone(fh, isa.FPair)`, ""))
-	wantDiag(t, diags, "FTriple has no handler")
-}
-
-func TestFNoneRegistrationRejected(t *testing.T) {
-	diags := run(t, fusedIsaSrc(goodFusedInfos), fusedCoreSrc(goodFusedInit+"\n\tfone(fh, isa.FNone)", ""))
-	wantDiag(t, diags, "FNone sentinel must not be registered")
-}
-
-func TestFusedRetireOutsideHandlerRejected(t *testing.T) {
-	// drain does not match the fusedFunc signature, so summing a handler's
-	// returned count onto the counter (the pre-per-member-counting idiom,
-	// which loses work when a hook panics mid-group) is a violation.
-	extra := `func drain(m *Machine) { r, _ := fusedHandlers[1](m); m.metrics.Instructions += uint64(r) }`
-	diags := run(t, fusedIsaSrc(goodFusedInfos), fusedCoreSrc(goodFusedInit, extra))
-	wantDiag(t, diags, "drain assigns to the retired-instruction counter")
-}
-
 func TestCompoundRetireInRunRejected(t *testing.T) {
-	// Run is a plain dispatch site, not a fused handler: it may only ++.
-	core := strings.Replace(fusedCoreSrc(goodFusedInit, ""),
-		"_ = r", "m.metrics.Instructions += 2", 1)
-	diags := run(t, fusedIsaSrc(goodFusedInfos), core)
+	// Run is a dispatch site: it may advance the counter only by ++, never
+	// by a batched add.
+	core := strings.Replace(coreSrc(goodInit, ""),
+		"func (m *Machine) Run()  { m.metrics.Instructions++ }",
+		"func (m *Machine) Run()  { m.metrics.Instructions += 2 }", 1)
+	diags := run(t, isaSrc(goodInfos), core)
 	wantDiag(t, diags, "Run assigns to the retired-instruction counter")
-}
-
-func TestFusedBatchOutOfRangeRejected(t *testing.T) {
-	// A batch must be a whole group's length — literal 2 or 3, nothing else.
-	extra := `func fquad(m *Machine) (int, error) { m.metrics.Instructions += 4; return 4, nil }`
-	diags := run(t, fusedIsaSrc(goodFusedInfos), fusedCoreSrc(goodFusedInit, extra))
-	wantDiag(t, diags, "fquad assigns to the retired-instruction counter")
-}
-
-func TestFusedNonLiteralBatchRejected(t *testing.T) {
-	// Even inside a fused handler the batch must be literal: a computed
-	// count cannot be audited against the group shapes.
-	extra := `func fvar(m *Machine) (int, error) { r := 2; m.metrics.Instructions += uint64(r); return r, nil }`
-	diags := run(t, fusedIsaSrc(goodFusedInfos), fusedCoreSrc(goodFusedInit, extra))
-	wantDiag(t, diags, "fvar assigns to the retired-instruction counter")
-}
-
-func TestFusedCounterResetRejected(t *testing.T) {
-	extra := `func fzero(m *Machine) (int, error) { m.metrics.Instructions = 0; return 0, nil }`
-	diags := run(t, fusedIsaSrc(goodFusedInfos), fusedCoreSrc(goodFusedInit, extra))
-	wantDiag(t, diags, "fzero assigns to the retired-instruction counter")
 }
 
 // --- heap-effect column coverage (invariant 5) ---

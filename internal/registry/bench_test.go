@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -66,7 +67,7 @@ func BenchmarkRegistryHitCall(b *testing.B) {
 		if err != nil || !hit {
 			b.Fatal(err)
 		}
-		if _, err := e.Pool().CallBudget(e.Image().Entry(), 5_000_000, 15); err != nil {
+		if _, err := e.Pool().CallContext(context.Background(), e.Image().Entry(), 5_000_000, 15); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -100,7 +101,7 @@ func BenchmarkColdSubmitCall(b *testing.B) {
 		if err != nil || hit {
 			b.Fatal(err)
 		}
-		if _, err := e.Pool().CallBudget(e.Image().Entry(), 5_000_000, 15); err != nil {
+		if _, err := e.Pool().CallContext(context.Background(), e.Image().Entry(), 5_000_000, 15); err != nil {
 			b.Fatal(err)
 		}
 	}

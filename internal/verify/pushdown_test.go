@@ -334,7 +334,7 @@ func TestXferDeepCarryUncertified(t *testing.T) {
 
 // A re-entrant handler that traps again and returns many results can push
 // a deep trapper past the stack on restore: admitted, uncertified with
-// maybe-overflow, and the trap edges are typed EdgeTrap (never fusable).
+// maybe-overflow, and the trap edges are typed EdgeTrap.
 func TestTrapRestoreOverflowUncertified(t *testing.T) {
 	var a image.Asm // main
 	a.EmitLoadLocalDesc(1)
@@ -372,6 +372,7 @@ func TestTrapRestoreOverflowUncertified(t *testing.T) {
 		t.Errorf("rt.handler not marked as a trap handler")
 	}
 	trapPC := findOp(t, prog, isa.TRAPB, 0)
+	// The armed TRAPB keeps its EdgeTrap and grows no EdgeCall.
 	var sawTrapEdge bool
 	for _, e := range r.Calls {
 		if e.FromPC == trapPC {
@@ -383,9 +384,6 @@ func TestTrapRestoreOverflowUncertified(t *testing.T) {
 	}
 	if !sawTrapEdge {
 		t.Errorf("no EdgeTrap at armed TRAPB pc %06x:\n%s", trapPC, r)
-	}
-	if r.CallFusable(trapPC) {
-		t.Errorf("armed TRAPB at %06x reported fusable", trapPC)
 	}
 }
 
@@ -433,10 +431,10 @@ func TestNetPushRecursionUncertified(t *testing.T) {
 	}
 }
 
-// An unarmed TRAPB contributes no call-graph edge and cannot poison the
-// fusability of neighbouring call sites; a resolved local call stays an
-// EdgeCall and fusable. Regression for the may-edge dedupe.
-func TestUnarmedTrapbEdgesAndFusion(t *testing.T) {
+// An unarmed TRAPB contributes no call-graph edge, and a resolved local
+// call next to it has an EdgeCall and no may-edge. Regression for the
+// may-edge dedupe.
+func TestUnarmedTrapbEdges(t *testing.T) {
 	var a image.Asm // main
 	a.Emit(isa.LI1)
 	a.Emit(isa.TRAPB, 3) // unarmed: terminal or a marker push, never a transfer
@@ -462,18 +460,19 @@ func TestUnarmedTrapbEdgesAndFusion(t *testing.T) {
 	}
 	trapPC := findOp(t, prog, isa.TRAPB, 0)
 	callPC := findOp(t, prog, isa.LFC1, 0) // the linker picks the fast form for slot 1
+	sawCall := false
 	for _, e := range r.Calls {
 		if e.FromPC == trapPC {
 			t.Errorf("unarmed TRAPB at %06x grew a call-graph edge (kind %s)", trapPC, e.Kind)
 		}
-		if e.FromPC == callPC && e.Kind != verify.EdgeCall {
-			t.Errorf("local call at %06x has kind %s, want %s", callPC, e.Kind, verify.EdgeCall)
+		if e.FromPC == callPC {
+			if e.Kind != verify.EdgeCall {
+				t.Errorf("local call at %06x has kind %s, want %s", callPC, e.Kind, verify.EdgeCall)
+			}
+			sawCall = true
 		}
 	}
-	if !r.CallFusable(callPC) {
-		t.Errorf("resolved local call at %06x not fusable", callPC)
-	}
-	if r.CallFusable(trapPC) {
-		t.Errorf("TRAPB at %06x reported fusable", trapPC)
+	if !sawCall {
+		t.Errorf("resolved local call at %06x has no %s edge:\n%s", callPC, verify.EdgeCall, r)
 	}
 }

@@ -331,29 +331,6 @@ func (r *Report) Warnings() []Diag {
 	return out
 }
 
-// CallFusable reports whether the call site at pc has a statically pinned
-// callee: at least one EdgeCall from pc and no may-edge. Transfer and trap
-// edges neither qualify nor disqualify — a trap edge the summary engine
-// attributed to a neighbouring TRAPB never lands on a call pc, and an
-// unarmed TRAPB contributes no edge at all. The loader consults this when
-// fusing superinstructions, so only call sites the analysis resolved
-// become FPushCall group tails. A linear scan — it runs once per call
-// site at image-load time, never on the execution path.
-func (r *Report) CallFusable(pc uint32) bool {
-	ok := false
-	for _, e := range r.Calls {
-		if e.FromPC == pc {
-			if e.Kind == EdgeMay {
-				return false
-			}
-			if e.Kind == EdgeCall {
-				ok = true
-			}
-		}
-	}
-	return ok
-}
-
 // CertReasons returns the sorted distinct reason codes of the
 // certificate-blocking diagnostics: why an admitted program was denied
 // CertStackBounds. Empty for certified (or rejected) programs.

@@ -29,8 +29,8 @@ type Pool struct {
 // NewPool loads prog once under cfg and returns a pool of machines over
 // the shared image. The load is opportunistically verified: when the
 // static verifier grants the stack-bounds certificate the pool serves the
-// certified image — check-free handlers plus the threaded fused backend —
-// which is byte-identical in behaviour to the checked one (a continuously
+// certified image — the handler table without per-instruction stack-bounds
+// checks — which is byte-identical in behaviour to the checked one (a continuously
 // fuzzed invariant, see internal/difffuzz). A program the verifier rejects
 // or cannot certify is served from the plain checked image exactly as
 // before; NewPool never rejects a program LoadImage accepts.
@@ -108,14 +108,33 @@ type CallResult struct {
 	Metrics *Metrics
 }
 
-// call is the one checkout-run-recycle path every Call* variant goes
-// through: budget and cancellation are armed on the pooled machine, the
-// run's artifacts are captured, and the machine is recycled (Put resets
-// it, clearing the per-run bounds) no matter how the run ended. The
-// recycle is deferred so even a panicking run (a panicking Config.Trap
-// handler or cancel probe) hands its machine and metrics back before the
-// panic propagates — a pooled machine can never leak.
-func (p *Pool) call(ctx context.Context, desc Word, budget uint64, args ...Word) (*CallResult, error) {
+// Call runs one procedure call to desc on a pooled machine and returns
+// its results. Safe for concurrent use from many goroutines; each call
+// runs on its own machine over the shared image. Runs that fail are still
+// accounted (the work was done) and the machine is still recycled — Reset
+// restores boot state from the snapshot no matter how the run ended.
+func (p *Pool) Call(desc Word, args ...Word) ([]Word, error) {
+	cr, err := p.CallContext(context.Background(), desc, 0, args...)
+	if cr == nil {
+		return nil, err
+	}
+	return cr.Results, err
+}
+
+// CallContext is the serving-layer entry point: the run is bounded by
+// budget (0 = machine default, Config.MaxSteps; a run that exceeds it
+// fails with an error wrapping ErrMaxSteps) and cut when ctx is canceled
+// or its deadline passes (the error then wraps ErrCanceled). The returned
+// CallResult is non-nil whenever a machine actually ran — even on
+// failure — carrying the run's results, output and own metrics for
+// per-request accounting.
+//
+// The machine is recycled (Put resets it, clearing the per-run bounds) no
+// matter how the run ended. The recycle is deferred so even a panicking
+// run (a panicking Config.Trap handler or cancel probe) hands its machine
+// and metrics back before the panic propagates — a pooled machine can
+// never leak.
+func (p *Pool) CallContext(ctx context.Context, desc Word, budget uint64, args ...Word) (*CallResult, error) {
 	m, err := p.Get()
 	if err != nil {
 		return nil, err
@@ -133,74 +152,6 @@ func (p *Pool) call(ctx context.Context, desc Word, budget uint64, args ...Word)
 		Output:  append([]Word(nil), m.Output...),
 		Metrics: m.Metrics(),
 	}, err
-}
-
-// resolve looks up "Module.proc" in the image's program.
-func (p *Pool) resolve(module, proc string) (Word, error) {
-	return p.img.Program().FindProc(module, proc)
-}
-
-// Call runs one procedure call to desc on a pooled machine and returns
-// its results. Safe for concurrent use from many goroutines; each call
-// runs on its own machine over the shared image. Runs that fail are still
-// accounted (the work was done) and the machine is still recycled — Reset
-// restores boot state from the snapshot no matter how the run ended.
-func (p *Pool) Call(desc Word, args ...Word) ([]Word, error) {
-	cr, err := p.call(nil, desc, 0, args...)
-	if cr == nil {
-		return nil, err
-	}
-	return cr.Results, err
-}
-
-// CallBudget is Call bounded to at most budget executed instructions; a
-// run that exceeds it fails with an error wrapping ErrMaxSteps, its
-// partial work still merged into the pool aggregate. 0 means the machine
-// default (Config.MaxSteps).
-func (p *Pool) CallBudget(desc Word, budget uint64, args ...Word) ([]Word, error) {
-	cr, err := p.call(nil, desc, budget, args...)
-	if cr == nil {
-		return nil, err
-	}
-	return cr.Results, err
-}
-
-// CallContext is the serving-layer entry point: the run is bounded by
-// budget (0 = machine default) and cut when ctx is canceled or its
-// deadline passes (the error then wraps ErrCanceled). The returned
-// CallResult is non-nil whenever a machine actually ran — even on
-// failure — carrying the run's own metrics for per-request accounting.
-func (p *Pool) CallContext(ctx context.Context, desc Word, budget uint64, args ...Word) (*CallResult, error) {
-	return p.call(ctx, desc, budget, args...)
-}
-
-// CallOutput is Call plus a copy of the run's output record (the OUT
-// instruction's stream).
-func (p *Pool) CallOutput(desc Word, args ...Word) (results, output []Word, err error) {
-	cr, err := p.call(nil, desc, 0, args...)
-	if cr == nil {
-		return nil, nil, err
-	}
-	return cr.Results, cr.Output, err
-}
-
-// CallNamed resolves "Module.proc" in the image's program and calls it.
-func (p *Pool) CallNamed(module, proc string, args ...Word) ([]Word, error) {
-	desc, err := p.resolve(module, proc)
-	if err != nil {
-		return nil, err
-	}
-	return p.Call(desc, args...)
-}
-
-// CallNamedOutput resolves "Module.proc" and calls it, returning the
-// results plus a copy of the run's output record.
-func (p *Pool) CallNamedOutput(module, proc string, args ...Word) (results, output []Word, err error) {
-	desc, err := p.resolve(module, proc)
-	if err != nil {
-		return nil, nil, err
-	}
-	return p.CallOutput(desc, args...)
 }
 
 // Metrics returns a copy of the aggregate metrics of every completed run

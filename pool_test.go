@@ -76,10 +76,14 @@ func TestPoolCall(t *testing.T) {
 	if pool.Entry() != prog.Entry {
 		t.Fatal("Entry accessor broken")
 	}
-	if _, err := pool.CallNamed("fib", "main", p.Args...); err != nil {
+	desc, err := prog.FindProc("fib", "main")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pool.CallNamed("fib", "nothere"); err == nil {
+	if _, err := pool.Call(desc, p.Args...); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := prog.FindProc("fib", "nothere"); err == nil {
 		t.Fatal("missing proc accepted")
 	}
 }
@@ -239,15 +243,15 @@ proc main(n) { out(n); out(n+1); return n; }
 		t.Fatal(err)
 	}
 	for i := fpc.Word(1); i <= 3; i++ {
-		res, out, err := pool.CallOutput(prog.Entry, i)
+		cr, err := pool.CallContext(context.Background(), prog.Entry, 0, i)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res[0] != i {
-			t.Fatalf("result %v", res)
+		if cr.Results[0] != i {
+			t.Fatalf("result %v", cr.Results)
 		}
-		if !reflect.DeepEqual(out, []fpc.Word{i, i + 1}) {
-			t.Fatalf("output %v for n=%d", out, i)
+		if !reflect.DeepEqual(cr.Output, []fpc.Word{i, i + 1}) {
+			t.Fatalf("output %v for n=%d", cr.Output, i)
 		}
 	}
 }
@@ -275,7 +279,7 @@ func TestPoolCallBudgetRunaway(t *testing.T) {
 				t.Fatal(err)
 			}
 			const budget = 50_000
-			if _, err := pool.CallBudget(forever, budget); !errors.Is(err, core.ErrMaxSteps) {
+			if _, err := pool.CallContext(context.Background(), forever, budget); !errors.Is(err, core.ErrMaxSteps) {
 				t.Fatalf("err = %v, want ErrMaxSteps", err)
 			}
 			if got := pool.Metrics().Instructions; got != budget {
@@ -452,21 +456,26 @@ func TestPoolCallContext(t *testing.T) {
 	}
 }
 
-// TestPoolCallNamedOutput: the named variant resolves and returns the
-// per-run output record.
+// TestPoolCallNamedOutput: a procedure resolved by name through the
+// image's FindProc runs on the pool and returns its per-run output record;
+// an unknown name is refused by FindProc.
 func TestPoolCallNamedOutput(t *testing.T) {
-	pool, _ := buildServingPool(t, fpc.ConfigFastCalls)
-	res, out, err := pool.CallNamedOutput("srv", "emit", 7)
+	pool, prog := buildServingPool(t, fpc.ConfigFastCalls)
+	emit, err := prog.FindProc("srv", "emit")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res) != 1 || res[0] != 7 {
-		t.Fatalf("results %v", res)
+	cr, err := pool.CallContext(context.Background(), emit, 0, 7)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(out, []fpc.Word{7, 8}) {
-		t.Fatalf("output %v", out)
+	if len(cr.Results) != 1 || cr.Results[0] != 7 {
+		t.Fatalf("results %v", cr.Results)
 	}
-	if _, _, err := pool.CallNamedOutput("srv", "nothere"); err == nil {
+	if !reflect.DeepEqual(cr.Output, []fpc.Word{7, 8}) {
+		t.Fatalf("output %v", cr.Output)
+	}
+	if _, err := prog.FindProc("srv", "nothere"); err == nil {
 		t.Fatal("missing proc accepted")
 	}
 }
