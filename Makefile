@@ -54,12 +54,14 @@ sched-smoke:
 
 # Differential fuzzing smoke: a deterministic 2000-seed sweep through the
 # four-way differential oracle (cmd/fpcfuzz), then a short coverage-guided
-# shift on each native fuzz target. Longer campaigns: raise -n / -fuzztime.
+# shift on each native fuzz target. FuzzVerify feeds the verifier mutated
+# code bytes and data words. Longer campaigns: raise -n / -fuzztime.
 fuzz-smoke:
 	$(GO) run ./cmd/fpcfuzz -n 2000
 	$(GO) test -fuzz=FuzzDifferential -fuzztime=30s -run '^$$' ./internal/difffuzz
 	$(GO) test -fuzz=FuzzPoolReuse -fuzztime=30s -run '^$$' ./internal/difffuzz
 	$(GO) test -fuzz=FuzzParkResume -fuzztime=30s -run '^$$' ./internal/difffuzz
+	$(GO) test -fuzz=FuzzVerify -fuzztime=30s -run '^$$' ./internal/difffuzz
 
 # Verifier soundness smoke: sweep seeds 0..19999 through the differential
 # oracle, which also checks that (a) every generated program is admitted

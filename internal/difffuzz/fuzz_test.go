@@ -2,11 +2,14 @@ package difffuzz
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
 	"repro"
 	"repro/internal/core"
+	"repro/internal/image"
+	"repro/internal/linker"
 	"repro/internal/mem"
 	"repro/internal/workload"
 )
@@ -167,4 +170,103 @@ func FuzzPoolReuse(f *testing.F) {
 			t.Fatalf("pool aggregate %+v != sum of per-call metrics %+v", *agg, *sum)
 		}
 	})
+}
+
+// FuzzVerify feeds the static verifier linked images whose bytes the
+// compiler did not write: a generated program (seed modulo 400, either
+// linkage) with code bytes and data words overwritten from the fuzz input
+// (see mutate). The verifier must never panic, and a certified mutant must
+// run identically on the checked and certified tables. The checked-in
+// seeds each overwrite one linkage word that the verifier holds to the
+// instance metadata (internal/verify/linkage.go).
+//
+//	go test -fuzz=FuzzVerify ./internal/difffuzz -fuzztime=30s
+func FuzzVerify(f *testing.F) {
+	for seed := uint16(0); seed < 8; seed++ {
+		f.Add(seed, seed%2 == 1, []byte{byte(seed), byte(seed * 37), 0, byte(seed * 11), 0})
+	}
+	f.Fuzz(func(t *testing.T, seed uint16, early bool, muts []byte) {
+		if err := checkMutant(int64(seed%400), early, muts); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// mutantSteps caps every run of a certified mutant: overwritten bytes can
+// turn any loop infinite.
+const mutantSteps = 200_000
+
+// maxMutations bounds how many overwrites one fuzz input applies.
+const maxMutations = 8
+
+// mutate returns a copy of prog with overwrites decoded from muts, five
+// bytes per overwrite: a kind byte (even: code byte, odd: data word), a
+// little-endian 16-bit index (taken modulo the code length or the number
+// of initialized data words) and a little-endian 16-bit value (a code
+// overwrite keeps the low byte). The instance metadata is shared, so the
+// copy describes linkage its own bytes may no longer hold.
+func mutate(prog *image.Program, muts []byte) *image.Program {
+	out := &image.Program{
+		Code:       append([]byte(nil), prog.Code...),
+		Data:       append([]image.DataWord(nil), prog.Data...),
+		FrameSizes: prog.FrameSizes,
+		HeapBase:   prog.HeapBase,
+		Entry:      prog.Entry,
+		Instances:  prog.Instances,
+		Symbols:    prog.Symbols,
+	}
+	for n := 0; n < maxMutations && len(muts) >= 5; n, muts = n+1, muts[5:] {
+		idx := int(muts[1]) | int(muts[2])<<8
+		val := mem.Word(muts[3]) | mem.Word(muts[4])<<8
+		if muts[0]&1 == 0 && len(out.Code) > 0 {
+			out.Code[idx%len(out.Code)] = byte(val)
+		} else if muts[0]&1 == 1 && len(out.Data) > 0 {
+			out.Data[idx%len(out.Data)].Val = val
+		}
+	}
+	return out
+}
+
+// checkMutant is the verifier's hostile-input oracle. It builds
+// RandomProgram(seed) under the given linkage, applies mutate, and
+// verifies the result. The verifier must not panic, and when it grants
+// the stack-bounds certificate, the mutant must run byte-identically on
+// the checked and certified tables of the Mesa and FastCalls machines
+// under a step cap (diffCertified): the certificate has to hold for bytes
+// the compiler did not write.
+func checkMutant(seed int64, early bool, muts []byte) error {
+	p := workload.RandomProgram(seed)
+	built, _, err := p.Build(linker.Options{EarlyBind: early})
+	if err != nil {
+		return failf(KindBuild, "early=%v: %v", early, err)
+	}
+	prog := mutate(built, muts)
+	rep, err := safeVerify(prog)
+	if err != nil {
+		return err
+	}
+	if !rep.CertStackBounds {
+		return nil
+	}
+	for _, c := range []struct {
+		name string
+		cfg  core.Config
+	}{{"mesa", core.ConfigMesa}, {"fastcalls", core.ConfigFastCalls}} {
+		cfg := c.cfg
+		cfg.HeapCheck = true
+		cfg.MaxSteps = mutantSteps
+		checked, err := core.LoadImage(prog, cfg)
+		if err != nil {
+			return nil // the loader refuses the mutant outright
+		}
+		certified, err := core.LoadImage(prog, cfg, core.WithVerify())
+		if err != nil || !certified.Certified() {
+			return failf(KindCertify, "%s early=%v: certificate granted but verified load gave %v", c.name, early, err)
+		}
+		name := fmt.Sprintf("%s seed=%d mutant=%x", c.name, seed, muts)
+		if err := diffCertified(name, early, checked, certified, p); err != nil {
+			return err
+		}
+	}
+	return nil
 }

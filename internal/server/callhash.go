@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"net/http"
 	"strings"
 )
@@ -29,8 +28,7 @@ func (s *Server) handleCallHash(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req CallRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.reject(w, http.StatusBadRequest, "bad request body: "+err.Error())
+	if !s.decodeBody(w, r, &req, false) {
 		return
 	}
 	args, errMsg := convertArgs(req.Args)

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -87,8 +86,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	defer s.leave()
 
 	var req RunRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.reject(w, http.StatusBadRequest, "bad request body: "+err.Error())
+	if !s.decodeBody(w, r, &req, false) {
 		return
 	}
 	if len(req.Modules) == 0 {

@@ -147,3 +147,40 @@ func TestRunBadRequests(t *testing.T) {
 		}
 	}
 }
+
+// TestRunBodyCap: a /run body one byte past the 1 MiB cap is answered 413
+// before anything is decoded into a build, so the registry sees neither a
+// hit nor a miss.
+func TestRunBodyCap(t *testing.T) {
+	s, ts := newTestServer(t, server.Config{Verify: true})
+	const limit = 1 << 20
+	body, err := json.Marshal(server.RunRequest{
+		Modules: map[string]string{"m": goodSrc},
+		Entry:   "m.main",
+		Args:    []int64{10},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Pad the source with trailing blanks until the whole body is exactly
+	// one byte past the cap: still valid JSON and a valid program.
+	pad := strings.Repeat(" ", limit+1-len(body))
+	body = bytes.Replace(body, []byte(`\n"}`), []byte(`\n`+pad+`"}`), 1)
+	if len(body) != limit+1 {
+		t.Fatalf("body is %d bytes, want %d", len(body), limit+1)
+	}
+	before := s.Registry().Stats()
+	resp, err := http.Post(ts.URL+"/run", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("status %d, want 413", resp.StatusCode)
+	}
+	after := s.Registry().Stats()
+	if after.Hits != before.Hits || after.Misses != before.Misses {
+		t.Errorf("registry moved: hits %d→%d misses %d→%d", before.Hits, after.Hits, before.Misses, after.Misses)
+	}
+}

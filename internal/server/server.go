@@ -33,6 +33,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"sync"
@@ -437,8 +438,7 @@ func (s *Server) handleCall(w http.ResponseWriter, r *http.Request) {
 	defer s.leave()
 
 	var req CallRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.reject(w, http.StatusBadRequest, "bad request body: "+err.Error())
+	if !s.decodeBody(w, r, &req, false) {
 		return
 	}
 	desc, args, budget, errMsg := s.admitRequest(&req)
@@ -521,6 +521,30 @@ func (s *Server) countShed(c *uint64) {
 func (s *Server) reject(w http.ResponseWriter, status int, msg string) {
 	s.countShed(&s.c.badRequests)
 	http.Error(w, msg, status)
+}
+
+// maxBodyBytes caps every request body before it is decoded. The largest
+// generated program source over seeds 0–9999 is under 4 KiB, so 1 MiB
+// admits any real submission while bounding what a body can cost before
+// admission.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes the JSON request body into v through the size cap. On
+// failure it answers the request itself — 413 past the cap, 400 for a
+// malformed body — and returns false. An empty body is accepted only when
+// optional.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any, optional bool) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case err == nil || optional && errors.Is(err, io.EOF):
+		return true
+	case errors.As(err, &tooBig):
+		s.reject(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", maxBodyBytes))
+	default:
+		s.reject(w, http.StatusBadRequest, "bad request body: "+err.Error())
+	}
+	return false
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -2,10 +2,8 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 
@@ -98,8 +96,7 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 	defer s.leave()
 
 	var req SessionRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		s.reject(w, http.StatusBadRequest, "bad request body: "+err.Error())
+	if !s.decodeBody(w, r, &req, false) {
 		return
 	}
 	args, errMsg := convertArgs(req.Args)
@@ -154,8 +151,7 @@ func (s *Server) handleSessionResume(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req ResumeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
-		s.reject(w, http.StatusBadRequest, "bad request body: "+err.Error())
+	if !s.decodeBody(w, r, &req, true) {
 		return
 	}
 

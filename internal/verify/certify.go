@@ -8,13 +8,11 @@ import (
 // fixpoint. The worklist guarantees every pc's last step saw its final
 // state, so most value rules were already enforced in flow; what remains
 // here are the judgments that depend on facts falsified AFTER a site's
-// last step (the retain discipline of a summarized callee) and the
+// last step (the retain discipline of a summarized callee, the definite
+// stack faults that later joins could still widen away) and the
 // diagnostics deliberately deferred until the trap-arming question
 // settled (the unarmed-TRAPB stack effect).
 func (a *analyzer) certify() {
-	if !a.values {
-		return
-	}
 	for pc := 0; pc < len(a.code); pc++ {
 		if !a.reached[pc] || !a.insts[pc].Valid() {
 			continue
@@ -35,51 +33,46 @@ func (a *analyzer) certify() {
 					"%s pushes to depth %d past the %d-word stack", a.insts[pc].Op, lo+pushes, maxDepth)
 			}
 		}
-		switch a.insts[pc].Op {
-		case isa.FREE:
-			a.certFree(uint32(pc), s)
-
-		case isa.TRAPB:
-			if a.armed {
-				break
-			}
-			// No reachable STRAP ever arms a handler: the deferred Go-path
-			// stack effect is the only behaviour, so report it the way the
-			// conservative analysis would.
-			if s.d.lo+1 > maxDepth {
-				a.diag(uint32(pc), LevelError, ReasonStackOverflow,
-					"%s pushes to depth %d past the %d-word stack", a.insts[pc].Op, s.d.lo+1, maxDepth)
-			} else if s.d.hi+1 > maxDepth {
-				a.diagCert(uint32(pc), ReasonMaybeOverflow,
-					"%s can push to depth %d past the %d-word stack", a.insts[pc].Op, s.d.hi+1, maxDepth)
-			}
+		if a.insts[pc].Op != isa.TRAPB || a.armed || a.lost&lostTraps != 0 {
+			continue
 		}
-		if a.taint {
-			return
+		// No reachable STRAP ever arms a handler: the deferred Go-path
+		// stack effect is the only behaviour.
+		if s.d.lo+1 > maxDepth {
+			a.diag(uint32(pc), LevelError, ReasonStackOverflow,
+				"%s pushes to depth %d past the %d-word stack", a.insts[pc].Op, s.d.lo+1, maxDepth)
+		} else if s.d.hi+1 > maxDepth {
+			a.diagCert(uint32(pc), ReasonMaybeOverflow,
+				"%s can push to depth %d past the %d-word stack", a.insts[pc].Op, s.d.hi+1, maxDepth)
 		}
 	}
 }
 
-// certFree re-validates an own-frame FREE against the final summaries:
-// the freed procedure must have retained its frame on every return path,
-// and a frame cannot free itself.
-func (a *analyzer) certFree(pc uint32, s absState) {
-	if !s.d.exact() || s.vals == nil || s.d.lo < 1 {
-		// Stage 1 already tainted these.
-		return
+// certFrees re-validates every own-frame FREE the fixpoint tracked against
+// the final summaries: the freed procedure must have retained its frame on
+// every return path, and a frame cannot free itself. A failure means the
+// heap may already be corrupt there, so the freed-set family is lost; the
+// result reports whether that requeued readers for one more drain.
+func (a *analyzer) certFrees() bool {
+	if a.lost&lostFreed != 0 {
+		return false
 	}
-	v := s.vals[len(s.vals)-1]
-	if v.kind != vCtx || v.src&srcOwn == 0 {
-		return
-	}
-	cur := int(a.regionOf[pc])
-	bad := false
-	v.regs.forEach(func(T int) {
-		if T == cur || !a.retainedAll[T] || !a.retSeen[T] {
-			bad = true
+	for _, pc := range a.freeSites {
+		s := a.state[pc]
+		if a.insts[pc].Op != isa.FREE || a.seen[diagKey{pc, ReasonUnsafeFree}] ||
+			!s.d.exact() || s.vals == nil || s.d.lo < 1 {
+			continue
 		}
-	})
-	if bad {
-		a.setTaint()
+		v := s.vals[len(s.vals)-1]
+		if v.kind != vCtx || v.src&srcOwn == 0 {
+			continue
+		}
+		cur := int(a.regionOf[pc])
+		v.regs.forEach(func(T int) {
+			if T == cur || !a.retainedAll[T] || !a.retSeen[T] {
+				a.lose(lostFreed)
+			}
+		})
 	}
+	return a.lost&lostFreed != 0
 }

@@ -6,12 +6,11 @@ import (
 )
 
 // Stage 3 of the verifier: the heap-effects analysis. It runs once over
-// the final stage-1 fixpoint (values-clean or conservative) and computes,
-// per procedure and for the whole program, a write-set summary: which
-// storage classes the code can write during a run. The classes come from
-// the per-opcode heap-effect column (isa.Info.Heap); placement — whose
-// storage a write lands in — comes from the operand checks the summary
-// engine already performed:
+// the final stage-1 fixpoint and computes, per procedure and for the whole
+// program, a write-set summary: which storage classes the code can write
+// during a run. The classes come from the per-opcode heap-effect column
+// (isa.Info.Heap); placement — whose storage a write lands in — comes from
+// the operand checks the summary engine already performed:
 //
 //   - Frame-arena traffic (call frames, AV links, records, saved state)
 //     is storage the run itself allocates and the dirty tracking already
@@ -20,10 +19,13 @@ import (
 //     The run escapes into the next session unless Reset repairs it, so
 //     the write blocks CertHeapEffects (ReasonHeapEscape) — but its
 //     footprint is statically bounded by the module's global count.
-//   - Anything the analysis cannot place — an untracked pointer store, an
-//     out-of-range local or global index, a transfer to an unknown target
-//     — makes the write set Unknown (ReasonHeapUnknownTarget): every
-//     bound is vacuous and Reset must assume the worst.
+//   - Anything the analysis cannot place — a store or free the fixpoint
+//     could not track at that site, an out-of-range local or global
+//     index, a transfer to an unknown target — makes the write set
+//     Unknown (ReasonHeapUnknownTarget): every bound is vacuous and Reset
+//     must assume the worst. A site stage 1 did track stays placed even
+//     when another site lost a fact family, because every loss site is
+//     itself Unknown, a may-edge, or an irregular call (also Unknown).
 //
 // Per-procedure sets then close transitively over the call graph: a
 // procedure writes whatever its callees, pinned transfer targets and
@@ -125,10 +127,10 @@ func (a *analyzer) classify(pc uint32) WriteSet {
 		return WriteSet{Unknown: true}
 
 	case op == isa.STIND || op == isa.WFB:
-		if a.values {
-			// The values-clean fixpoint admits a raw store only through a
-			// tracked record pointer with its offset under every possible
-			// site's payload: the write stays inside run-allocated records.
+		if !a.seen[diagKey{pc, ReasonHeapStore}] {
+			// The fixpoint tracked this store: a record pointer with its
+			// offset under every possible site's payload, so the write
+			// stays inside run-allocated records.
 			return WriteSet{Records: true}
 		}
 		a.diagHeap(pc, ReasonHeapUnknownTarget,
@@ -136,7 +138,7 @@ func (a *analyzer) classify(pc uint32) WriteSet {
 		return WriteSet{Unknown: true}
 
 	case op == isa.FFREE || op == isa.FREE:
-		if a.values {
+		if !a.seen[diagKey{pc, ReasonUnsafeFree}] {
 			// Tracked frees return run-allocated storage to the arena's
 			// free lists: arena linkage writes only.
 			return WriteSet{Frames: true}

@@ -2,9 +2,12 @@ package verify_test
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/mem"
 	"repro/internal/verify"
 	"repro/internal/workload"
 )
@@ -20,7 +23,7 @@ func hasReasonStr(reasons []string, want verify.Reason) bool {
 
 // A callee that stores through a caller-passed record pointer writes
 // storage the summary analysis cannot place: record values never cross a
-// call boundary, so the store surrenders to the conservative semantics.
+// call boundary, so the store falls out of the record model.
 // The program stays admitted but holds neither certificate, and the write
 // set is Unknown with the heap-unknown-target reason.
 func TestHeapWriteThroughCallerRecordUncertified(t *testing.T) {
@@ -185,21 +188,30 @@ proc main() {
 	}
 }
 
-// The value analysis used to switch off beyond 64 procedures (one word of
-// region bits); the sparse region set lifts that to 256. A 70-procedure
-// program whose every procedure allocates, stores into and frees a record
-// must hold both certificates — with the old cap the stores would taint
-// and the heap writes would be unplaceable.
-func TestManyProcsCertified(t *testing.T) {
-	const procs = 70
-	var sb strings.Builder
-	sb.WriteString("module big;\n")
-	for i := 0; i < procs-1; i++ {
-		next := fmt.Sprintf("p%d", i+1)
-		if i == procs-2 {
-			next = "last"
+// chainProgram builds procs procedures chained by calls, each of them but
+// the last allocating a record, storing into it, loading it back and
+// freeing it. A module exposes at most 128 entry points, so the chain is
+// spread over modules of 100 procedures each; main sits in the first.
+func chainProgram(procs int) *workload.Program {
+	const perModule = 100
+	nmod := (procs + perModule - 1) / perModule
+	srcs := map[string]string{}
+	for m := 0; m < nmod; m++ {
+		var sb strings.Builder
+		fmt.Fprintf(&sb, "module m%d;\n", m)
+		if m+1 < nmod {
+			fmt.Fprintf(&sb, "import m%d;\n", m+1)
 		}
-		fmt.Fprintf(&sb, `proc p%d(x) {
+		for i := m * perModule; i < min((m+1)*perModule, procs); i++ {
+			if i == procs-1 {
+				fmt.Fprintf(&sb, "proc p%d(x) { return x; }\n", i)
+				continue
+			}
+			next := fmt.Sprintf("p%d", i+1)
+			if (i+1)/perModule != m {
+				next = fmt.Sprintf("m%d.p%d", m+1, i+1)
+			}
+			fmt.Fprintf(&sb, `proc p%d(x) {
   var a = alloc(4);
   store(a, x);
   var v = load(a);
@@ -207,31 +219,76 @@ func TestManyProcsCertified(t *testing.T) {
   return v + %s(x);
 }
 `, i, next)
+		}
+		if m == 0 {
+			sb.WriteString("proc main(n) { return p0(n); }\n")
+		}
+		srcs[fmt.Sprintf("m%d", m)] = sb.String()
 	}
-	sb.WriteString("proc last(x) { return x; }\n")
-	sb.WriteString("proc main(n) { return p0(n); }\n")
+	return &workload.Program{
+		Name:    fmt.Sprintf("chain-%d", procs),
+		Sources: srcs,
+		Module:  "m0", Proc: "main", Args: []mem.Word{3},
+	}
+}
 
-	w := &workload.Program{
-		Name:    "many-procs",
-		Sources: map[string]string{"big": sb.String()},
-		Module:  "big", Proc: "main",
-	}
-	for _, early := range []bool{false, true} {
-		r := verify.Program(buildWorkload(t, w, early))
-		if !r.Admitted() {
-			t.Fatalf("early=%v: rejected:\n%s", early, r)
-		}
-		if len(r.Procs) <= 64 {
-			t.Fatalf("early=%v: only %d procedures; the test no longer exceeds the old cap", early, len(r.Procs))
-		}
-		if !r.CertStackBounds {
-			t.Errorf("early=%v: %d-proc program denied the stack-bounds certificate:\n%s", early, len(r.Procs), r)
-		}
-		if !r.CertHeapEffects {
-			t.Errorf("early=%v: %d-proc program denied the heap certificate:\n%s", early, len(r.Procs), r)
-		}
-		if !r.Writes.Records {
-			t.Errorf("early=%v: write set %s, want records (every proc stores into one)", early, r.Writes)
+// Region and allocation-site indices share a 256-bit set, so value
+// tracking covers the first 256 of each; past that a value merely goes
+// untracked, and the rest of the program keeps its precision. The chain
+// must hold both certificates at 70 procedures and at 257 (258 regions
+// with main, past the cap; 256 allocation sites, at it), and run
+// identically on certified and checked images. At 400 procedures it has
+// more than 256 allocation sites: it stays admitted, and the stores
+// through the untracked sites withhold both certificates.
+func TestManyProcsCertified(t *testing.T) {
+	for _, tc := range []struct {
+		procs int
+		cert  bool
+	}{{70, true}, {257, true}, {400, false}} {
+		w := chainProgram(tc.procs)
+		for _, early := range []bool{false, true} {
+			prog := buildWorkload(t, w, early)
+			r := verify.Program(prog)
+			if !r.Admitted() {
+				t.Fatalf("%s early=%v: rejected:\n%s", w.Name, early, r)
+			}
+			if len(r.Procs) != tc.procs+1 {
+				t.Fatalf("%s early=%v: %d regions, want %d", w.Name, early, len(r.Procs), tc.procs+1)
+			}
+			if r.CertStackBounds != tc.cert || r.CertHeapEffects != tc.cert {
+				t.Errorf("%s early=%v: certificates stack=%v heap=%v, want %v:\n%s",
+					w.Name, early, r.CertStackBounds, r.CertHeapEffects, tc.cert, r)
+			}
+			if !tc.cert {
+				continue
+			}
+			if !r.Writes.Records || r.Writes.Unknown {
+				t.Errorf("%s early=%v: write set %s, want placed records", w.Name, early, r.Writes)
+			}
+			for _, cfg := range []core.Config{core.ConfigMesa, core.ConfigFastCalls} {
+				var got [2][]mem.Word
+				var metrics [2]*core.Metrics
+				for i, opts := range [][]core.LoadOption{nil, {core.WithVerify()}} {
+					img, err := core.LoadImage(prog, cfg, opts...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if img.Certified() != (i == 1) {
+						t.Fatalf("%s early=%v: certified image = %v", w.Name, early, img.Certified())
+					}
+					m, err := img.NewMachine()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got[i], err = m.Call(img.Entry(), w.Args...); err != nil {
+						t.Fatalf("%s early=%v: run: %v", w.Name, early, err)
+					}
+					metrics[i] = m.Metrics().Clone()
+				}
+				if !reflect.DeepEqual(got[0], got[1]) || !reflect.DeepEqual(metrics[0], metrics[1]) {
+					t.Errorf("%s early=%v: certified run %v diverges from checked %v", w.Name, early, got[1], got[0])
+				}
+			}
 		}
 	}
 }

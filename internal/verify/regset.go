@@ -3,9 +3,9 @@ package verify
 import "math/bits"
 
 // maxTrackedRegions bounds the region and allocation-site index spaces of
-// the value lattice. regSet lifted it from 64 (one uint64) to 256, so
-// programs with up to 256 procedures keep value tracking instead of
-// falling back to the conservative interval semantics.
+// the value lattice. Regions and sites past it never enter a set: a
+// context naming such a region, or a record of such a site, is top, so a
+// program with more procedures keeps value tracking for its first 256.
 const maxTrackedRegions = 256
 
 // regSet is a fixed 256-bit set of region (or record allocation-site)

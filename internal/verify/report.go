@@ -102,6 +102,12 @@ const (
 	// ReasonIrregularCall: a call target is not a procedure entry the
 	// linker laid out, so its result depth is unknown.
 	ReasonIrregularCall Reason = "irregular-call"
+	// ReasonLinkage: a linkage word the machine reads — an entry-vector
+	// slot, a procedure's frame-class byte, a global frame's code base, a
+	// GFT slot, or the global frame inline in a direct-call header —
+	// disagrees with the linker's instance metadata. An Error for the
+	// first four; a certificate-blocking Warn for a direct-call header.
+	ReasonLinkage Reason = "linkage-mismatch"
 	// ReasonHeapEscape: a write provably lands outside run-allocated
 	// storage (module globals, the boot image): the run mutates state that
 	// survives into the next session unless Reset restores it. Blocks the

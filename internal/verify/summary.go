@@ -11,16 +11,21 @@ import (
 // the canonical [0,0] context and summarized at their RETs (result depth,
 // result values, freed set), call sites consume summaries, and XFERO
 // sites with tracked targets feed the per-region resume pools. All side
-// tables grow monotonically and requeue their registered readers, so the
-// worklist converges to a fixpoint regardless of step order.
+// tables grow monotonically and requeue their registered readers, and so
+// do the lost-family marks (lose), so the worklist converges to one
+// fixpoint regardless of step order.
 
 // Site-registration kinds (dedup keys in a.siteSeen).
 const (
 	siteXfer = iota
 	siteLRC
 	siteLL
+	siteFree
+	siteTrap
 )
 
+// addSite registers pc as a reader on list; r is the owning region (0 for
+// the program-wide lists).
 func (a *analyzer) addSite(list *[]uint32, kind, r int, pc uint32) {
 	key := uint64(kind)<<60 | uint64(uint32(r))<<30 | uint64(pc)
 	if !a.siteSeen[key] {
@@ -29,11 +34,10 @@ func (a *analyzer) addSite(list *[]uint32, kind, r int, pc uint32) {
 	}
 }
 
-func (a *analyzer) addTrapSite(pc uint32) {
-	if !a.trapSeen[pc] {
-		a.trapSeen[pc] = true
-		a.trapSites = append(a.trapSites, pc)
-	}
+// freedMay reports whether a frame or record of sites may already be gone:
+// it is in the flowing freed set, or the freed-set family is lost.
+func (a *analyzer) freedMay(sites, freed regSet) bool {
+	return a.lost&lostFreed != 0 || sites.intersects(freed)
 }
 
 // topState widens the stack to unknown while keeping the frame-local facts
@@ -135,19 +139,13 @@ func (a *analyzer) minSitePayload(sites regSet) int {
 	return min
 }
 
-// applyEffect applies a fixed stack effect at pc: definite faults are
-// Errors (the path ends), possible faults are certificate-blocking Warns
-// (the surviving depths continue).
+// applyEffect applies a fixed stack effect at pc: a definite fault ends
+// the path and is judged by certify against the final state (the interval
+// may still widen through resume pools and callee summaries); possible
+// faults are certificate-blocking Warns (the surviving depths continue).
 func (a *analyzer) applyEffect(pc uint32, d interval, pops, pushes int) (interval, bool) {
 	if d.hi < pops {
-		if a.values {
-			// The interval may still widen (resume pools, callee
-			// summaries); defer the judgment to certify.
-			a.defFlow[pc] = [2]int{pops, pushes}
-			return interval{}, false
-		}
-		a.diag(pc, LevelError, ReasonStackUnderflow,
-			"%s pops %d with at most %d on the stack", a.insts[pc].Op, pops, d.hi)
+		a.defFlow[pc] = [2]int{pops, pushes}
 		return interval{}, false
 	}
 	if d.lo < pops {
@@ -159,13 +157,7 @@ func (a *analyzer) applyEffect(pc uint32, d interval, pops, pushes int) (interva
 		after.lo = 0
 	}
 	if after.lo+pushes > maxDepth {
-		if a.values {
-			// Joins can lower the floor later; defer as above.
-			a.defFlow[pc] = [2]int{pops, pushes}
-			return interval{}, false
-		}
-		a.diag(pc, LevelError, ReasonStackOverflow,
-			"%s pushes to depth %d past the %d-word stack", a.insts[pc].Op, after.lo+pushes, maxDepth)
+		a.defFlow[pc] = [2]int{pops, pushes}
 		return interval{}, false
 	}
 	if after.hi+pushes > maxDepth {
@@ -272,7 +264,7 @@ func (a *analyzer) step(pc uint32, s absState) {
 	if op == isa.RETAIN {
 		out.ret = true
 	}
-	if a.values && after.exact() {
+	if after.exact() {
 		a.stepValues(pc, in, s, &out)
 	}
 	a.propagate(pc, next, out)
@@ -281,17 +273,17 @@ func (a *analyzer) step(pc uint32, s absState) {
 // doStore handles STIND and WFB. A store the record model can bound — a
 // tracked record pointer, sites alive, offset under every site's payload —
 // stays inside run-allocated storage and is certifiable. Anything else can
-// rewrite frame words, saved pcs or table linkage: nothing value tracking
-// rests on survives it, so the analysis reruns conservatively.
+// rewrite any frame's locals, so the local-value family is lost.
 func (a *analyzer) doStore(pc uint32, in *isa.Inst, s absState, next uint32) {
 	op := in.Op
-	if a.values && s.d.exact() && s.vals != nil && s.d.lo >= 2 {
+	a.addSite(&a.freeSites, siteFree, 0, pc)
+	if s.d.exact() && s.vals != nil && s.d.lo >= 2 {
 		ptr := s.vals[len(s.vals)-1]
 		off := 0
 		if op == isa.WFB {
 			off = int(in.Arg)
 		}
-		if ptr.kind == vRec && !ptr.regs.empty() && !ptr.regs.intersects(s.frec) {
+		if ptr.kind == vRec && !ptr.regs.empty() && !a.freedMay(ptr.regs, s.frec) {
 			if max := a.minSitePayload(ptr.regs); max >= 0 && int(ptr.hi)+off < max {
 				out := s.deriv(interval{s.d.lo - 2, s.d.lo - 2})
 				out.vals = dropPush(s.vals, 2, 0)
@@ -300,9 +292,7 @@ func (a *analyzer) doStore(pc uint32, in *isa.Inst, s absState, next uint32) {
 			}
 		}
 	}
-	if a.values {
-		a.setTaint()
-	}
+	a.lose(lostLocals)
 	a.diagCert(pc, ReasonHeapStore,
 		"%s stores through an arbitrary pointer and can reach frame or table linkage", op)
 	info := isa.InfoOf(op)
@@ -313,11 +303,13 @@ func (a *analyzer) doStore(pc uint32, in *isa.Inst, s absState, next uint32) {
 
 // doFFree handles FFREE: releasing a tracked record pointer at offset zero
 // returns exactly the storage an AFB granted. The freed sites join the
-// freed-record set, so later stores through stale pointers to them taint.
+// freed-record set, so later stores through stale pointers to them fall
+// out of the model. Anything else loses the freed-set family.
 func (a *analyzer) doFFree(pc uint32, s absState, next uint32) {
-	if a.values && s.d.exact() && s.vals != nil && s.d.lo >= 1 {
+	a.addSite(&a.freeSites, siteFree, 0, pc)
+	if s.d.exact() && s.vals != nil && s.d.lo >= 1 {
 		v := s.vals[len(s.vals)-1]
-		if v.kind == vRec && v.lo == 0 && v.hi == 0 && !v.regs.empty() && !v.regs.intersects(s.frec) {
+		if v.kind == vRec && v.lo == 0 && v.hi == 0 && !v.regs.empty() && !a.freedMay(v.regs, s.frec) {
 			out := s.deriv(interval{s.d.lo - 1, s.d.lo - 1})
 			out.vals = dropPush(s.vals, 1, 0)
 			out.frec = s.frec.union(v.regs)
@@ -325,10 +317,14 @@ func (a *analyzer) doFFree(pc uint32, s absState, next uint32) {
 			return
 		}
 	}
-	if a.values {
-		a.setTaint()
-	}
-	a.diagCert(pc, ReasonUnsafeFree, "FFREE releases a context the verifier cannot track")
+	a.untrackedFree(pc, s, next)
+}
+
+// untrackedFree is a FREE or FFREE of a context the model cannot follow:
+// it may release any frame or record, so the freed-set family is lost.
+func (a *analyzer) untrackedFree(pc uint32, s absState, next uint32) {
+	a.lose(lostFreed)
+	a.diagCert(pc, ReasonUnsafeFree, "%s releases a context the verifier cannot track", a.insts[pc].Op)
 	if after, ok := a.applyEffect(pc, s.d, 1, 0); ok {
 		a.propagate(pc, next, s.deriv(after))
 	}
@@ -354,10 +350,11 @@ func (a *analyzer) stepValues(pc uint32, in *isa.Inst, s absState, out *absState
 	case op == isa.LRC:
 		if r >= 0 && r < maxTrackedRegions {
 			a.addSite(&a.lrcSites[r], siteLRC, r, pc)
-			if a.callEntered[r] {
-				// A caller's or trapper's frame: suspended inside a call,
-				// outside the resume-pool model.
-				setTop(ctxVal(srcTaint, regSet{}))
+			if a.callEntered[r] || a.lost&(lostXfer|lostTraps) != 0 {
+				// A caller's or trapper's frame, suspended inside a call —
+				// or, with the pools or the handler set lost, a frame the
+				// model cannot place: outside the resume-pool model.
+				setTop(ctxVal(srcUntracked, regSet{}))
 			} else {
 				setTop(ctxVal(srcEntered|srcZero, a.xferSrc[r]))
 			}
@@ -413,10 +410,13 @@ func (a *analyzer) stepValues(pc uint32, in *isa.Inst, s absState, out *absState
 			// Prefer the flow-sensitive value (it carries branch
 			// refinements the flow-insensitive environment joins away),
 			// and mark the copy so a later compare-branch can refine the
-			// local through it.
+			// local through it. A lost local family reads top.
 			v := locGet(s.locs, slot)
 			if v == topVal {
 				v = a.envGet(r, slot)
+			}
+			if a.lost&lostLocals != 0 {
+				v = topVal
 			}
 			v.slot = uint8(slot + 1)
 			setTop(v)
@@ -498,9 +498,7 @@ func (a *analyzer) checkLocal(pc uint32, in *isa.Inst) {
 	if store {
 		// The store lands in a neighbouring frame or record: facts about
 		// other frames' locals no longer hold.
-		if a.values {
-			a.setTaint()
-		}
+		a.lose(lostLocals)
 		a.diagCert(pc, ReasonLocalRange,
 			"%s local %d: word %d of a %d-word frame (class %d)", op, in.Arg, off, payload, a.regions[r].fsi)
 	} else {
@@ -536,7 +534,7 @@ func (a *analyzer) doJump(pc uint32, in *isa.Inst, s absState, next uint32) {
 		return
 	}
 	out := s.deriv(after)
-	if a.values && after.exact() {
+	if after.exact() {
 		out.vals = dropPush(s.vals, int(info.Pops), 0)
 	}
 	t := in.Target
@@ -587,7 +585,7 @@ func negateCmp(op isa.Op) isa.Op {
 // infeasible to feasible, never back. The refined facts are what certify a
 // guarded loop counter: `while (i < k)` caps i at k-1 inside the body.
 func (a *analyzer) refineBranch(out, s absState, op isa.Op, taken bool) (absState, bool) {
-	if !a.values || !s.d.exact() || s.vals == nil {
+	if !s.d.exact() || s.vals == nil {
 		return out, true
 	}
 	switch op {
@@ -729,16 +727,14 @@ func (a *analyzer) doRet(pc uint32, s absState) {
 		a.sum[r] = j
 		changed = true
 	}
-	if a.values {
-		rv := sanitizeSummary(s.vals)
-		if !a.sumValsN[r] {
-			a.sumValsN[r] = true
-			a.sumVals[r] = rv
-			changed = true
-		} else if j := joinVals(a.sumVals[r], rv); !valsEqual(j, a.sumVals[r]) {
-			a.sumVals[r] = j
-			changed = true
-		}
+	rv := sanitizeSummary(s.vals)
+	if !a.sumValsN[r] {
+		a.sumValsN[r] = true
+		a.sumVals[r] = rv
+		changed = true
+	} else if j := joinVals(a.sumVals[r], rv); !valsEqual(j, a.sumVals[r]) {
+		a.sumVals[r] = j
+		changed = true
 	}
 	if u := a.sumFreed[r].union(s.freed); u != a.sumFreed[r] {
 		a.sumFreed[r] = u
@@ -812,6 +808,10 @@ func (a *analyzer) doCall(pc uint32, in *isa.Inst, s absState, next uint32) {
 		}
 		inst := a.regions[r].inst
 		slot := int(in.Arg)
+		if !a.importSlotOK(pc, inst, slot) {
+			a.untrackedCall(pc, s, next)
+			return
+		}
 		ctx, present := a.data[inst.GF-1-mem.Addr(slot)]
 		if !present || ctx == 0 {
 			// The machine XFERs to NIL: the computation halts there.
@@ -823,16 +823,12 @@ func (a *analyzer) doCall(pc uint32, in *isa.Inst, s absState, next uint32) {
 		if !image.IsProc(ctx) {
 			// The F3 fallback: xferOut plus a transfer to whatever the slot
 			// holds — outside the value model entirely.
-			if a.values {
-				a.setTaint()
-			}
 			a.diagCert(pc, ReasonUnresolvedLink,
 				"link vector slot %d of %s holds %04x, not a procedure descriptor", slot, inst.Module.Name, ctx)
-			a.mayEdge(pc)
-			a.propagate(pc, next, topState(s))
+			a.untrackedCall(pc, s, next)
 			return
 		}
-		entry, fsi, ok = a.resolveDescriptor(pc, ctx, ReasonBadDescriptor, "")
+		entry, fsi, ok = a.resolveDescriptor(ctx, ReasonBadDescriptor, a.loud(pc, ""))
 
 	case op.IsLocalCall():
 		if r < 0 {
@@ -847,7 +843,7 @@ func (a *analyzer) doCall(pc uint32, in *isa.Inst, s absState, next uint32) {
 				"%s entry %d past the %d-slot entry vector of %s", op, ev, len(inst.EVOffsets), inst.Module.Name)
 			return
 		}
-		entry, fsi, ok = a.resolveEntry(pc, inst.CodeBase, int(in.Arg), ReasonBadEntryVector, "")
+		entry, fsi, ok = a.resolveEntry(inst.CodeBase, int(in.Arg), ReasonBadEntryVector, a.loud(pc, ""))
 
 	default: // DCALL / SDCALL
 		if !in.CallOK {
@@ -867,12 +863,25 @@ func (a *analyzer) doCall(pc uint32, in *isa.Inst, s absState, next uint32) {
 				"%s header class %d outside the %d-class frame-size table", op, fsi, len(a.p.FrameSizes))
 			return
 		}
+		if cr, isEntry := a.entryRegion[entry]; isEntry && !a.headerGFOK(pc, in, a.regions[cr].inst) {
+			a.untrackedCall(pc, s, next)
+			return
+		}
 		ok = true
 	}
 	if !ok {
 		return
 	}
 	a.finishCall(pc, next, s, entry, fsi)
+}
+
+// untrackedCall is a call whose destination the model cannot follow: the
+// machine may transfer to any context, so the resume pools and LRC
+// provenance are lost and the caller resumes with an unknown stack.
+func (a *analyzer) untrackedCall(pc uint32, s absState, next uint32) {
+	a.lose(lostXfer)
+	a.mayEdge(pc)
+	a.propagate(pc, next, topState(s))
 }
 
 // finishCall wires a resolved call site: the arg-record fit check, the
@@ -888,27 +897,23 @@ func (a *analyzer) finishCall(pc, next uint32, s absState, entry uint32, fsi int
 	if !isEntry {
 		// The target decodes but is not a procedure entry the linker laid
 		// out: its RETs cannot be attributed, so its result depth is
-		// unknown.
-		if a.values {
-			a.setTaint()
-		}
+		// unknown, and its locals run in a frame of another class.
+		a.lose(lostLocals)
 		a.diagCert(pc, ReasonIrregularCall,
 			"call target %06x is not a linked procedure entry", entry)
+		a.diagHeap(pc, ReasonHeapUnknownTarget,
+			"call target %06x is not a linked procedure entry; its writes cannot be placed", entry)
 		a.joinInto(entry, a.entryState(s.freed))
 		a.propagate(pc, next, topState(s))
 		return
 	}
 	a.markCallEntered(cr)
 	a.joinInto(entry, a.entryState(s.freed))
-	key := uint64(cr)<<32 | uint64(pc)
-	if !a.depSeen[key] {
-		a.depSeen[key] = true
-		a.deps[cr] = append(a.deps[cr], pc)
-	}
+	a.addDep(cr, pc)
 	if a.sumOK[cr] {
 		out := s.deriv(a.sum[cr])
 		out.freed = out.freed.union(a.sumFreed[cr])
-		if a.values && out.d.exact() && a.sumValsN[cr] && len(a.sumVals[cr]) == out.d.lo {
+		if out.d.exact() && a.sumValsN[cr] && len(a.sumVals[cr]) == out.d.lo {
 			out.vals = a.sumVals[cr]
 		}
 		a.propagate(pc, next, out)
@@ -917,28 +922,29 @@ func (a *analyzer) finishCall(pc, next uint32, s absState, entry uint32, fsi int
 	// fall-through stays unreached until a RET appears.
 }
 
-// xferFallback is the conservative XFERO semantics: target and resumption
-// stack unknown.
+// addDep registers site pc as waiting on region r's result summary.
+func (a *analyzer) addDep(r int, pc uint32) {
+	key := uint64(r)<<32 | uint64(pc)
+	if !a.depSeen[key] {
+		a.depSeen[key] = true
+		a.deps[r] = append(a.deps[r], pc)
+	}
+}
+
+// xferFallback is an XFERO whose target the model cannot pin down: the
+// resume pools and LRC provenance are lost, and this frame resumes with
+// an unknown stack.
 func (a *analyzer) xferFallback(pc uint32, s absState, next uint32) {
 	if _, ok := a.applyEffect(pc, s.d, 1, 0); !ok {
 		return
 	}
 	a.diagCert(pc, ReasonDynamicTransfer, "XFERO target and resumption stack are unknown")
-	a.mayEdge(pc)
-	a.propagate(pc, next, topState(s))
+	a.untrackedCall(pc, s, next)
 }
 
 func (a *analyzer) doXfer(pc uint32, s absState, next uint32) {
 	cur := int(a.regionOf[pc])
-	if !a.values || cur < 0 || cur >= maxTrackedRegions {
-		if a.values {
-			a.setTaint()
-		}
-		a.xferFallback(pc, s, next)
-		return
-	}
-	if !s.d.exact() || s.vals == nil || s.d.lo < 1 {
-		a.setTaint()
+	if cur < 0 || cur >= maxTrackedRegions || !s.d.exact() || s.vals == nil || s.d.lo < 1 {
 		a.xferFallback(pc, s, next)
 		return
 	}
@@ -960,7 +966,6 @@ func (a *analyzer) doXfer(pc uint32, s absState, next uint32) {
 		// call semantics on a transfer opcode.
 		T, ok := a.resolveDescQuiet(v.word)
 		if !ok {
-			a.setTaint()
 			a.xferFallback(pc, s, next)
 			return
 		}
@@ -972,23 +977,14 @@ func (a *analyzer) doXfer(pc uint32, s absState, next uint32) {
 		}
 		a.joinInto(treg.entry, a.entryState(s.freed))
 		a.xferSrcAdd(T, cur)
-		key := uint64(T)<<32 | uint64(pc)
-		if !a.depSeen[key] {
-			a.depSeen[key] = true
-			a.deps[T] = append(a.deps[T], pc)
-		}
+		a.addDep(T, pc)
 		if a.sumOK[T] {
 			out := s.deriv(a.sum[T])
 			out.freed = out.freed.union(a.sumFreed[T])
 			a.propagate(pc, next, out)
 		}
 
-	case v.kind == vCtx && v.transferable():
-		if v.regs.intersects(s.freed) {
-			a.setTaint()
-			a.xferFallback(pc, s, next)
-			return
-		}
+	case v.kind == vCtx && v.transferable() && !a.freedMay(v.regs, s.freed):
 		v.regs.forEach(func(T int) {
 			treg := a.regions[T]
 			a.edge(pc, treg.entry, EdgeXfer)
@@ -1005,73 +1001,79 @@ func (a *analyzer) doXfer(pc uint32, s absState, next uint32) {
 		})
 
 	default:
-		// Unknown word, the running frame itself, or a possibly
-		// call-suspended frame: outside the pool model.
-		a.setTaint()
+		// Unknown word, the running frame itself, a possibly
+		// call-suspended frame, or one that may already be freed: outside
+		// the pool model.
 		a.xferFallback(pc, s, next)
 		return
 	}
 
 	// Resumption of this frame: the depths (and freed sets) of transfers
-	// targeting this region. Until a pool forms, the site stays suspended.
-	if a.poolOK[cur] {
+	// targeting this region. Until a pool forms, the site stays suspended;
+	// once the pools are lost, any transfer may resume it.
+	switch {
+	case a.lost&lostXfer != 0:
+		out := s.deriv(top)
+		out.freed = out.freed.union(a.poolFreed[cur])
+		a.propagate(pc, next, out)
+	case a.poolOK[cur]:
 		out := s.deriv(a.pool[cur])
 		out.freed = out.freed.union(a.poolFreed[cur])
 		a.propagate(pc, next, out)
 	}
 }
 
+// trapRestore is the armed path of a trap site whose operands leave base
+// on the stack: the known handlers' result summaries land on top of it,
+// and freed is what their subtrees may free. ok is false while no handler
+// result is known, or when every armed execution faults on restore.
+func (a *analyzer) trapRestore(pc uint32, base interval) (restored interval, freed regSet, ok bool) {
+	rh, known := a.handlerResults()
+	if !known {
+		return interval{}, regSet{}, false
+	}
+	a.handlers.forEach(func(T int) {
+		a.edge(pc, a.regions[T].entry, EdgeTrap)
+	})
+	lo, hi := base.lo+rh.lo, base.hi+rh.hi
+	if hi > maxDepth {
+		a.diagCert(pc, ReasonMaybeOverflow,
+			"trap handler results can restore to depth %d past the %d-word stack", hi, maxDepth)
+		hi = maxDepth
+	}
+	if lo > maxDepth { // every armed execution faults on restore
+		return interval{}, regSet{}, false
+	}
+	return interval{lo, hi}, a.handlerFreed(), true
+}
+
 func (a *analyzer) doTrapB(pc uint32, s absState, next uint32) {
-	if !a.values {
+	a.addSite(&a.trapSites, siteTrap, 0, pc)
+	if a.lost&lostTraps != 0 {
+		// An unknown handler's RETURN restores the trapper's operands
+		// beneath its results: at least d.lo words, at most a full stack.
 		a.mayEdge(pc)
-		if a.trapsPossible {
-			// An in-machine handler's RETURN restores the trapper's
-			// operands beneath the handler's results: at least d.lo words,
-			// at most a full stack.
-			a.propagate(pc, next, s.deriv(interval{s.d.lo, maxDepth}))
-			return
-		}
-		if after, ok := a.applyEffect(pc, s.d, 0, 1); ok {
-			a.propagate(pc, next, s.deriv(after))
-		}
+		a.propagate(pc, next, s.deriv(interval{s.d.lo, maxDepth}))
 		return
 	}
-	a.addTrapSite(pc)
 	var out interval
 	any := false
 	// Unarmed path: the Go hook pushes the unhandled marker (on certified
 	// machines an unarmed TRAPB is a clean terminal error instead). A
 	// definite or possible overflow here is reported by certify() only if
-	// no reachable STRAP ever arms a handler, mirroring the conservative
-	// analysis's two-pass behaviour.
+	// no reachable STRAP ever arms a handler.
 	if s.d.lo+1 <= maxDepth {
-		hi := s.d.hi + 1
-		if hi > maxDepth {
-			hi = maxDepth
-		}
-		out, any = interval{s.d.lo + 1, hi}, true
+		out, any = interval{s.d.lo + 1, min(s.d.hi+1, maxDepth)}, true
 	}
 	freed := s.freed
 	if a.armed {
-		if rh, ok := a.handlerResults(); ok {
-			lo, hi := s.d.lo+rh.lo, s.d.hi+rh.hi
-			if hi > maxDepth {
-				a.diagCert(pc, ReasonMaybeOverflow,
-					"trap handler results can restore to depth %d past the %d-word stack", hi, maxDepth)
-				hi = maxDepth
+		if armedAfter, hf, ok := a.trapRestore(pc, s.d); ok {
+			if any {
+				out = out.join(armedAfter)
+			} else {
+				out, any = armedAfter, true
 			}
-			if lo <= maxDepth { // else: every armed execution faults on restore
-				armedAfter := interval{lo, hi}
-				if any {
-					out = out.join(armedAfter)
-				} else {
-					out, any = armedAfter, true
-				}
-				freed = freed.union(a.handlerFreed())
-			}
-			a.handlers.forEach(func(T int) {
-				a.edge(pc, a.regions[T].entry, EdgeTrap)
-			})
+			freed = freed.union(hf)
 		}
 	}
 	if any {
@@ -1086,39 +1088,24 @@ func (a *analyzer) doTrapB(pc uint32, s absState, next uint32) {
 }
 
 func (a *analyzer) doDivMod(pc uint32, s absState, next uint32) {
+	a.addSite(&a.trapSites, siteTrap, 0, pc)
 	after, ok := a.applyEffect(pc, s.d, 2, 1)
 	if !ok {
 		return
 	}
-	if !a.values {
-		if a.trapsPossible {
-			// Division by zero can transfer to a handler; its result depth
-			// is unknown (handler results replace the quotient).
-			a.propagate(pc, next, s.deriv(interval{after.lo - 1, maxDepth}))
-			return
-		}
-		a.propagate(pc, next, s.deriv(after))
+	if a.lost&lostTraps != 0 {
+		// Division by zero can transfer to an unknown handler; its results
+		// replace the quotient.
+		a.propagate(pc, next, s.deriv(interval{after.lo - 1, maxDepth}))
 		return
 	}
-	a.addTrapSite(pc)
 	out := after
 	freed := s.freed
 	if a.armed {
-		if rh, ok := a.handlerResults(); ok {
-			base := interval{after.lo - 1, after.hi - 1} // operands consumed, quotient not pushed
-			lo, hi := base.lo+rh.lo, base.hi+rh.hi
-			if hi > maxDepth {
-				a.diagCert(pc, ReasonMaybeOverflow,
-					"trap handler results can restore to depth %d past the %d-word stack", hi, maxDepth)
-				hi = maxDepth
-			}
-			if lo <= maxDepth {
-				out = out.join(interval{lo, hi})
-				freed = freed.union(a.handlerFreed())
-			}
-			a.handlers.forEach(func(T int) {
-				a.edge(pc, a.regions[T].entry, EdgeTrap)
-			})
+		// Operands consumed, quotient not pushed.
+		if restored, hf, ok := a.trapRestore(pc, interval{after.lo - 1, after.hi - 1}); ok {
+			out = out.join(restored)
+			freed = freed.union(hf)
 		}
 	}
 	o := s.deriv(out)
@@ -1130,7 +1117,7 @@ func (a *analyzer) doDivMod(pc uint32, s absState, next uint32) {
 }
 
 func (a *analyzer) doStrap(pc uint32, s absState, next uint32) {
-	if a.values && s.d.exact() && s.vals != nil && s.d.lo >= 1 {
+	if s.d.exact() && s.vals != nil && s.d.lo >= 1 {
 		v := s.vals[len(s.vals)-1]
 		out := s.deriv(interval{s.d.lo - 1, s.d.lo - 1})
 		out.vals = dropPush(s.vals, 1, 0)
@@ -1154,12 +1141,9 @@ func (a *analyzer) doStrap(pc uint32, s absState, next uint32) {
 				return
 			}
 		}
-		// A word the machine would transfer into blindly on the next trap.
-		a.setTaint()
-	} else if a.values {
-		a.setTaint()
 	}
-	a.sawStrap = true
+	// A word the machine would transfer into blindly on the next trap.
+	a.lose(lostTraps)
 	a.diagCert(pc, ReasonDynamicTransfer, "STRAP installs a dynamic trap handler")
 	a.mayEdge(pc)
 	if after, ok := a.applyEffect(pc, s.d, 1, 0); ok {
@@ -1168,14 +1152,6 @@ func (a *analyzer) doStrap(pc uint32, s absState, next uint32) {
 }
 
 func (a *analyzer) doCocreate(pc uint32, in *isa.Inst, s absState, next uint32) {
-	if !a.values {
-		a.diagCert(pc, ReasonDynamicTransfer, "COCREATE constructs a coroutine context resumed outside call/return structure")
-		a.mayEdge(pc)
-		if after, ok := a.applyEffect(pc, s.d, 1, 1); ok {
-			a.propagate(pc, next, s.deriv(after))
-		}
-		return
-	}
 	// COCREATE itself is safe: a non-descriptor operand is a clean terminal
 	// error and a descriptor that doesn't resolve never starts running. The
 	// result is a tracked embryo only for a known constant descriptor;
@@ -1188,8 +1164,7 @@ func (a *analyzer) doCocreate(pc uint32, in *isa.Inst, s absState, next uint32) 
 	out := s.deriv(after)
 	if after.exact() {
 		out.vals = dropPush(s.vals, 1, 1)
-		v := valAt(s.vals, s.d.lo-1)
-		if v.isProcWord() {
+		if v := valAt(s.vals, s.d.lo-1); v.isProcWord() {
 			if T, ok := a.resolveDescQuiet(v.word); ok {
 				if out.vals == nil {
 					out.vals = materialize(nil, after.lo)
@@ -1202,49 +1177,25 @@ func (a *analyzer) doCocreate(pc uint32, in *isa.Inst, s absState, next uint32) 
 }
 
 func (a *analyzer) doFree(pc uint32, s absState, next uint32) {
-	fallback := func() {
-		a.diagCert(pc, ReasonUnsafeFree, "FREE releases a context the verifier cannot track")
-		if after, ok := a.applyEffect(pc, s.d, 1, 0); ok {
-			a.propagate(pc, next, s.deriv(after))
-		}
-	}
-	if !a.values {
-		fallback()
-		return
-	}
-	if !s.d.exact() || s.vals == nil || s.d.lo < 1 {
-		a.setTaint()
-		fallback()
-		return
-	}
-	v := s.vals[len(s.vals)-1]
-	switch {
-	case v.kind == vWord:
-		if image.IsProc(v.word) || v.word == 0 {
+	a.addSite(&a.freeSites, siteFree, 0, pc)
+	if s.d.exact() && s.vals != nil && s.d.lo >= 1 {
+		v := s.vals[len(s.vals)-1]
+		if v.kind == vWord && (image.IsProc(v.word) || v.word == 0) {
 			// ErrBadContext: a clean terminal error on every machine.
 			return
 		}
-		// Frees a raw address.
-		a.setTaint()
-		fallback()
-
-	case v.kind == vCtx && v.freeable():
-		if v.regs.intersects(s.freed) {
-			// A frame of the same region may already be gone: FREE would
-			// tear down recycled storage.
-			a.setTaint()
-			fallback()
+		if v.kind == vCtx && v.freeable() && !a.freedMay(v.regs, s.freed) {
+			// Own-frame frees additionally require the retain discipline;
+			// certFrees checks that against the final summaries.
+			out := s.deriv(interval{s.d.lo - 1, s.d.lo - 1})
+			out.freed = s.freed.union(v.regs)
+			out.vals = dropPush(s.vals, 1, 0)
+			a.propagate(pc, next, out)
 			return
 		}
-		// Own-frame frees additionally require the retain discipline;
-		// certify() checks that against the final summaries.
-		out := s.deriv(interval{s.d.lo - 1, s.d.lo - 1})
-		out.freed = s.freed.union(v.regs)
-		out.vals = dropPush(s.vals, 1, 0)
-		a.propagate(pc, next, out)
-
-	default:
-		a.setTaint()
-		fallback()
 	}
+	// A raw address, a possibly live caller or transferrer frame, or a
+	// frame of a region that may already be gone: FREE would tear down
+	// recycled storage.
+	a.untrackedFree(pc, s, next)
 }

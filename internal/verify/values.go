@@ -9,21 +9,23 @@ import (
 // cannot certify coroutine, trap or heap programs: XFERO's depth effect
 // depends on WHERE the popped context word can point, FREE's safety on
 // where the freed frame came from, and STIND's on where the address can
-// land. So, for programs whose transfer surface is statically disciplined,
-// the engine tracks a small abstract value for every evaluation-stack slot
-// and definitely-assigned local: a 16-bit constant (procedure descriptors
-// are link-time LIW immediates), a bounded unsigned range (loop counters
-// under a compare-branch guard), a context word with a provenance and a
-// may-set of frame regions, or a record pointer — the result of an AFB —
-// with a may-set of allocation sites and a bounded word offset.
+// land. So the engine tracks a small abstract value for every
+// evaluation-stack slot and definitely-assigned local: a 16-bit constant
+// (procedure descriptors are link-time LIW immediates), a bounded unsigned
+// range (loop counters under a compare-branch guard), a context word with
+// a provenance and a may-set of frame regions, or a record pointer — the
+// result of an AFB — with a may-set of allocation sites and a bounded word
+// offset. Region and site sets hold the first 256 of each (regset.go);
+// anything past them is simply top.
 //
-// Value tracking is best-effort and certificate-only: it may sharpen the
-// depth flow (resume pools, handler result summaries) but it must never
-// manufacture an Error-level rejection on its own, and the moment anything
-// reachable can corrupt the discipline the facts rest on (a raw store the
-// record model cannot bound, an untracked FREE, a transfer to an unknown
-// context), the whole analysis reruns with values off — falling back to
-// exactly the conservative interval semantics, which need no such facts.
+// Value tracking is certificate-only: it may sharpen the depth flow
+// (resume pools, handler result summaries) but it never manufactures an
+// Error-level rejection on its own. Where something reachable can corrupt
+// the discipline a family of facts rests on (a raw store the record model
+// cannot bound, an untracked FREE, a transfer to an unknown context), that
+// site withholds the certificates and the family reads as top from then on
+// (analyzer.lose); the values on the stack and every other family keep
+// their precision.
 
 // value kinds.
 const (
@@ -37,11 +39,11 @@ const (
 // provenance bits of a vCtx value (OR-monotone: a join accumulates bits,
 // and every bit makes the value LESS usable).
 const (
-	srcCreated uint8 = 1 << iota // a COCREATE result: an embryo (or since-started) frame
-	srcEntered                   // retctx in a transfer-only region: a frame suspended at an XFERO
-	srcOwn                       // myctx: the running procedure's own frame
-	srcTaint                     // retctx where the region can be call- or trap-entered
-	srcZero                      // may also be NIL (transfer halts; free faults cleanly)
+	srcCreated   uint8 = 1 << iota // a COCREATE result: an embryo (or since-started) frame
+	srcEntered                     // retctx in a transfer-only region: a frame suspended at an XFERO
+	srcOwn                         // myctx: the running procedure's own frame
+	srcUntracked                   // retctx of a call- or trap-entered region, or with pools or handlers lost
+	srcZero                        // may also be NIL (transfer halts; free faults cleanly)
 )
 
 // value is one abstract stack or local slot. All fields are comparable, so
@@ -216,7 +218,7 @@ func subVals(x, y value) (value, bool) {
 // created by COCREATE, or a frame suspended at an XFERO site — never a
 // frame suspended inside a call, a trap, or the running frame itself.
 func (v value) transferable() bool {
-	return v.kind == vCtx && v.src&(srcOwn|srcTaint) == 0
+	return v.kind == vCtx && v.src&(srcOwn|srcUntracked) == 0
 }
 
 // freeable reports whether a FREE of this context word can be certified at
@@ -224,7 +226,7 @@ func (v value) transferable() bool {
 // hands back (checked against the all-returns-retained bit separately).
 // Freeing a caller or transferrer (srcEntered) tears down a live frame.
 func (v value) freeable() bool {
-	return v.kind == vCtx && v.src&(srcEntered|srcTaint) == 0 &&
+	return v.kind == vCtx && v.src&(srcEntered|srcUntracked) == 0 &&
 		v.src&(srcCreated|srcOwn) != 0
 }
 

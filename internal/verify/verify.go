@@ -1,10 +1,10 @@
-// Package verify is the link-time bytecode verifier: a two-stage static
-// analysis over the predecoded instruction stream of a linked program.
+// Package verify is the link-time bytecode verifier: a static analysis
+// over the predecoded instruction stream of a linked program, run as one
+// engine with one fixpoint.
 //
 // Stage 1 — the summary engine (summary.go) — is a worklist abstract
 // interpreter computing, for every reachable pc, an evaluation-stack depth
-// interval plus (for programs whose transfer surface is statically
-// disciplined) an abstract value per stack slot and definitely-assigned
+// interval plus an abstract value per stack slot and definitely-assigned
 // local (values.go). Procedures are analyzed once, CFA2-style, against a
 // canonical [0,0] entry context — the engine's enterProc always delivers
 // the argument record into frame locals and clears the stack — and
@@ -15,18 +15,22 @@
 // resume pools (the depths a suspended frame can be resumed with),
 // COCREATE results and retctx/myctx words carry provenance, and STRAP
 // with a known handler descriptor turns TRAPB/DIV into calls against the
-// handler's result summary. The moment anything reachable could corrupt
-// the facts this rests on (a raw store, an untracked FREE, a transfer to
-// an unknown context), the analysis restarts with values off and falls
-// back to the purely conservative interval semantics.
+// handler's result summary.
 //
-// Stage 2 — certificate derivation (certify.go) — re-walks the fixpoint
-// and decides the stack-bounds certificate: whether every reachable
-// instruction provably keeps the stack inside [0, isa.EvalStackDepth] and
-// nothing reachable can corrupt the linkage the proof depends on. It also
-// assembles the per-context report: entry kinds, resume-depth pools,
-// result summaries and the reason codes explaining a withheld
-// certificate.
+// Imprecision stays local. A site the value model cannot follow (a raw
+// store, an untracked FREE, a transfer or trap arm to an unknown context)
+// withholds the certificates itself and marks the one family of facts it
+// can invalidate as lost; the family's registered readers are requeued
+// and read it as top from then on, inside the same fixpoint.
+//
+// Stage 2 — certificate derivation (certify.go) — re-checks the judgments
+// that depend on the final fixpoint (own-frame frees, deferred definite
+// stack faults, unarmed TRAPBs) and decides the stack-bounds certificate:
+// whether every reachable instruction provably keeps the stack inside
+// [0, isa.EvalStackDepth] and nothing reachable can corrupt the linkage
+// the proof depends on. It also assembles the per-context report: entry
+// kinds, resume-depth pools, result summaries and the reason codes
+// explaining a withheld certificate.
 //
 // Diagnostics come in two grades. Error marks a pc where reaching it
 // definitely fails or corrupts the machine — the program is rejected
@@ -66,8 +70,7 @@ func (a interval) join(b interval) interval {
 func (a interval) exact() bool { return a.lo == a.hi }
 
 // absState is the per-pc abstract state. The depth interval drives
-// admission; the rest exists only while value tracking is on and only
-// ever sharpens or withholds the certificate.
+// admission; the rest only ever sharpens or withholds the certificates.
 type absState struct {
 	d      interval
 	stored uint64  // must-assigned local slots (definite assignment)
@@ -127,6 +130,16 @@ type diagKey struct {
 	reason Reason
 }
 
+// Fact families a site can lose. A lost family reads as top at each of
+// its registered readers, which lose() requeues once; nothing else about
+// the fixpoint changes, so every other fact keeps its precision.
+const (
+	lostLocals uint8 = 1 << iota // local values; readers llSites
+	lostXfer                     // resume pools and LRC provenance; readers xferSites, lrcSites
+	lostFreed                    // freed frame and record sets; readers freeSites, xferSites
+	lostTraps                    // the trap-handler set; readers trapSites, lrcSites
+)
+
 type analyzer struct {
 	p     *image.Program
 	code  []byte
@@ -139,12 +152,7 @@ type analyzer struct {
 	instByCB    map[uint32]*image.Instance
 	boundary    []bool // canonical instruction boundaries per region
 
-	// values: stage 1 tracks the value lattice. Cleared (with a full
-	// rerun) the first time the run or the certificate scan discovers a
-	// taint — a reachable operation that could invalidate value-derived
-	// facts. The fallback run is exactly the old conservative analysis.
-	values bool
-	taint  bool
+	lost uint8 // lost fact families
 
 	state   []absState
 	reached []bool
@@ -176,23 +184,19 @@ type analyzer struct {
 	xferSites [][]uint32 // XFERO pcs inside this region (requeued on pool growth)
 	lrcSites  [][]uint32 // LRC pcs inside this region
 	llSites   [][]uint32 // guarded local loads inside this region
+	freeSites []uint32   // FREE/FFREE/STIND/WFB pcs (readers of the freed sets)
 	siteSeen  map[uint64]bool
 
-	// Trap-handler model (values mode): armed is "a STRAP arming some
-	// handler is reachable"; handlers is the region set of statically known
-	// handler descriptors. The conservative fallback instead reruns with
-	// trapsPossible once a run reaches any STRAP (sawStrap), exactly the
-	// old two-pass interval analysis.
-	armed         bool
-	handlers      regSet
-	trapSites     []uint32 // TRAPB/DIV/MOD pcs, requeued when the model grows
-	trapSeen      map[uint32]bool
-	sawStrap      bool
-	trapsPossible bool
+	// Trap-handler model: armed is "a STRAP arming some handler is
+	// reachable"; handlers is the region set of statically known handler
+	// descriptors.
+	armed     bool
+	handlers  regSet
+	trapSites []uint32 // TRAPB/DIV/MOD pcs, requeued when the model grows
 	// defFlow records pcs whose fixed stack effect looked like a definite
-	// under/overflow mid-fixpoint (values mode). Joins move both interval
-	// ends, so the judgment is non-monotone: certify re-checks each site
-	// against the final state and only then emits the Error.
+	// under/overflow mid-fixpoint. Joins move both interval ends, so the
+	// judgment is non-monotone: certify re-checks each site against the
+	// final state and only then emits the Error.
 	defFlow map[uint32][2]int // pc -> {pops, pushes}
 
 	callEntered []bool    // region can be entered by a static call or as a trap handler
@@ -216,44 +220,46 @@ type analyzer struct {
 
 // Program verifies a linked program and returns the structured report.
 // It never fails hard: malformed images produce Error diagnostics, not
-// panics, so a serving layer can always render the report.
+// panics, so a serving layer can always render the report. The worklist
+// drains once, and once more only when the own-frame FREE check loses the
+// freed-set family.
 func Program(p *image.Program) *Report {
-	insts, _ := isa.Predecode(p.Code)
-	a := &analyzer{
-		p:           p,
-		code:        p.Code,
-		insts:       insts,
-		data:        make(map[mem.Addr]mem.Word, len(p.Data)),
-		entryRegion: map[uint32]int{},
-		instByCB:    map[uint32]*image.Instance{},
-	}
-	for _, dw := range p.Data {
-		a.data[dw.Addr] = dw.Val
-	}
-	a.buildRegions()
-	a.buildBoundaries()
-	a.values = len(a.regions) > 0 && len(a.regions) <= maxTrackedRegions
-	for {
-		a.reset()
+	a := newAnalyzer(p)
+	a.run()
+	if a.certFrees() {
 		a.run()
-		a.certify()
-		if a.values && a.taint {
-			// Something reachable invalidates the value-derived facts:
-			// rerun with the conservative interval semantics only.
-			a.values, a.taint = false, false
-			continue
-		}
-		if !a.values && a.sawStrap && !a.trapsPossible {
-			// Conservative mode reached a STRAP: rerun with in-machine trap
-			// dispatch possible everywhere (the handler installed at any
-			// point governs every TRAPB and division).
-			a.trapsPossible = true
-			continue
-		}
-		break
 	}
+	a.certify()
 	a.effects()
 	return a.report()
+}
+
+// lose marks fact family f lost and requeues its readers.
+func (a *analyzer) lose(f uint8) {
+	if a.lost&f != 0 {
+		return
+	}
+	a.lost |= f
+	wake := func(lists ...[]uint32) {
+		for _, l := range lists {
+			for _, pc := range l {
+				a.enqueue(pc)
+			}
+		}
+	}
+	switch f {
+	case lostLocals:
+		wake(a.llSites...)
+	case lostXfer:
+		wake(a.xferSites...)
+		wake(a.lrcSites...)
+	case lostFreed:
+		wake(a.xferSites...)
+		wake(a.freeSites)
+	case lostTraps:
+		wake(a.lrcSites...)
+		wake(a.trapSites)
+	}
 }
 
 func (a *analyzer) buildRegions() {
@@ -314,12 +320,32 @@ func (a *analyzer) buildBoundaries() {
 	}
 }
 
-func (a *analyzer) reset() {
-	n := len(a.code)
-	nr := len(a.regions)
+func newAnalyzer(p *image.Program) *analyzer {
+	insts, _ := isa.Predecode(p.Code)
+	a := &analyzer{
+		p:           p,
+		code:        p.Code,
+		insts:       insts,
+		data:        make(map[mem.Addr]mem.Word, len(p.Data)),
+		entryRegion: map[uint32]int{},
+		instByCB:    map[uint32]*image.Instance{},
+		depSeen:     map[uint64]bool{},
+		recSiteOf:   map[uint32]int{},
+		siteSeen:    map[uint64]bool{},
+		defFlow:     map[uint32][2]int{},
+		seen:        map[diagKey]bool{},
+		callSeen:    map[CallEdge]bool{},
+		certOK:      true,
+		heapOK:      true,
+	}
+	for _, dw := range p.Data {
+		a.data[dw.Addr] = dw.Val
+	}
+	a.buildRegions()
+	a.buildBoundaries()
+	n, nr := len(a.code), len(a.regions)
 	a.state = make([]absState, n)
 	a.reached = make([]bool, n)
-	a.work = a.work[:0]
 	a.queued = make([]bool, n)
 	a.sum = make([]interval, nr)
 	a.sumOK = make([]bool, nr)
@@ -327,13 +353,7 @@ func (a *analyzer) reset() {
 	a.sumValsN = make([]bool, nr)
 	a.sumFreed = make([]regSet, nr)
 	a.deps = make([][]uint32, nr)
-	a.depSeen = map[uint64]bool{}
 	a.maxHi = make([]int, nr)
-	for i := range a.maxHi {
-		a.maxHi[i] = -1
-	}
-	a.recSiteOf = map[uint32]int{}
-	a.sitePayload = a.sitePayload[:0]
 	a.pool = make([]interval, nr)
 	a.poolOK = make([]bool, nr)
 	a.poolFreed = make([]regSet, nr)
@@ -341,27 +361,16 @@ func (a *analyzer) reset() {
 	a.xferSites = make([][]uint32, nr)
 	a.lrcSites = make([][]uint32, nr)
 	a.llSites = make([][]uint32, nr)
-	a.siteSeen = map[uint64]bool{}
-	a.armed = false
-	a.handlers = regSet{}
-	a.trapSites = a.trapSites[:0]
-	a.trapSeen = map[uint32]bool{}
-	a.sawStrap = false
-	a.defFlow = map[uint32][2]int{}
 	a.callEntered = make([]bool, nr)
 	a.retainedAll = make([]bool, nr)
-	for i := range a.retainedAll {
-		a.retainedAll[i] = true
-	}
 	a.retSeen = make([]bool, nr)
 	a.env = make([][]value, nr)
 	a.envInit = make([]uint64, nr)
-	a.diags = nil
-	a.seen = map[diagKey]bool{}
-	a.certOK = true
-	a.heapOK = true
-	a.calls = nil
-	a.callSeen = map[CallEdge]bool{}
+	for i := range a.regions {
+		a.maxHi[i] = -1
+		a.retainedAll[i] = true
+	}
+	a.checkLinkage()
 
 	// Roots: every linked procedure entry, at depth 0 — any of them can be
 	// the target of a serving call, a coroutine creation or a trap handler
@@ -375,9 +384,10 @@ func (a *analyzer) reset() {
 			a.diag(0, LevelError, ReasonBadDescriptor,
 				"entry context %04x is not a procedure descriptor", a.p.Entry)
 		} else {
-			a.resolveDescriptor(0, a.p.Entry, ReasonBadDescriptor, "entry ")
+			a.resolveDescriptor(a.p.Entry, ReasonBadDescriptor, a.loud(0, "entry "))
 		}
 	}
+	return a
 }
 
 // entryState is the canonical procedure entry context: empty stack, no
@@ -386,11 +396,7 @@ func (a *analyzer) reset() {
 // Record pointers never cross a call (RET summaries sanitize them), so the
 // freed-site set starts empty.
 func (a *analyzer) entryState(freed regSet) absState {
-	s := absState{d: interval{0, 0}, freed: freed}
-	if a.values {
-		s.vals = []value{}
-	}
-	return s
+	return absState{d: interval{0, 0}, freed: freed, vals: []value{}}
 }
 
 func (a *analyzer) run() {
@@ -500,11 +506,6 @@ func (a *analyzer) diagHeap(pc uint32, reason Reason, format string, args ...int
 	})
 }
 
-// setTaint abandons value tracking: the current run finishes (its
-// admission diagnostics are discarded anyway) and Program reruns the
-// whole analysis with the conservative semantics.
-func (a *analyzer) setTaint() { a.taint = true }
-
 func (a *analyzer) edge(from, callee uint32, kind EdgeKind) {
 	e := CallEdge{FromPC: from, Callee: callee, Kind: kind, May: kind == EdgeMay}
 	if !a.callSeen[e] {
@@ -528,102 +529,88 @@ func (a *analyzer) markCallEntered(r int) {
 	}
 }
 
+// failFn receives one broken link of a §5.1 walk.
+type failFn func(reason Reason, format string, args ...interface{})
+
+// quiet drops a walk's failures: the value analysis resolves COCREATE
+// operands and XFERO/STRAP targets with it, where an unresolvable word
+// merely degrades the value to untracked (the machine errors cleanly at
+// runtime).
+func quiet(Reason, string, ...interface{}) {}
+
+// loud reports a walk's failures as Errors at pc, prefixed with what.
+func (a *analyzer) loud(pc uint32, what string) failFn {
+	return func(reason Reason, format string, args ...interface{}) {
+		a.diag(pc, LevelError, reason, what+format, args...)
+	}
+}
+
 // resolveDescriptor statically walks the §5.1 indirection chain of a
 // packed procedure descriptor: GFT entry → global frame → code base →
 // entry vector → frame-size index.
-func (a *analyzer) resolveDescriptor(pc uint32, desc mem.Word, reason Reason, what string) (entry uint32, fsi int, ok bool) {
+func (a *analyzer) resolveDescriptor(desc mem.Word, reason Reason, fail failFn) (entry uint32, fsi int, ok bool) {
 	gfi, ev := image.UnpackProc(desc)
 	gfte, present := a.data[image.GFTBase+mem.Addr(gfi)]
 	if !present {
-		a.diag(pc, LevelError, reason,
-			"%sdescriptor %04x: gfi %d has no GFT entry", what, desc, gfi)
+		fail(reason, "descriptor %04x: gfi %d has no GFT entry", desc, gfi)
 		return 0, 0, false
 	}
 	gf, bias := image.UnpackGFTEntry(gfte)
 	lo, okLo := a.data[gf]
 	hi, okHi := a.data[gf+1]
 	if !okLo || !okHi {
-		a.diag(pc, LevelError, reason,
-			"%sdescriptor %04x: global frame %04x holds no code base", what, desc, gf)
+		fail(reason, "descriptor %04x: global frame %04x holds no code base", desc, gf)
 		return 0, 0, false
 	}
 	cb := uint32(lo) | uint32(hi)<<16
 	evIdx := ev + bias
 	if inst := a.instByCB[cb]; inst != nil && evIdx >= len(inst.EVOffsets) {
-		a.diag(pc, LevelError, reason,
-			"%sdescriptor %04x: entry %d past the %d-slot entry vector of %s",
-			what, desc, evIdx, len(inst.EVOffsets), inst.Module.Name)
+		fail(reason, "descriptor %04x: entry %d past the %d-slot entry vector of %s",
+			desc, evIdx, len(inst.EVOffsets), inst.Module.Name)
 		return 0, 0, false
 	}
-	return a.resolveEntry(pc, cb, evIdx, reason, what)
+	return a.resolveEntry(cb, evIdx, reason, fail)
 }
 
 // resolveEntry reads entry-vector slot evIdx of the segment at cb the way
 // the machine's LOCALCALL path does, validating every read.
-func (a *analyzer) resolveEntry(pc uint32, cb uint32, evIdx int, reason Reason, what string) (entry uint32, fsi int, ok bool) {
+func (a *analyzer) resolveEntry(cb uint32, evIdx int, reason Reason, fail failFn) (entry uint32, fsi int, ok bool) {
 	evAddr := int64(cb) + int64(2*evIdx)
 	if evAddr+1 >= int64(len(a.code)) || evAddr < 0 {
-		a.diag(pc, LevelError, reason,
-			"%sentry-vector slot %d at %06x reads outside the code space", what, evIdx, evAddr)
+		fail(reason, "entry-vector slot %d at %06x reads outside the code space", evIdx, evAddr)
 		return 0, 0, false
 	}
 	evOff := uint32(a.code[evAddr]) | uint32(a.code[evAddr+1])<<8
 	fsiAddr := int64(cb) + int64(evOff)
 	if fsiAddr >= int64(len(a.code)) {
-		a.diag(pc, LevelError, reason,
-			"%sentry %d: header at %06x lies outside the code space", what, evIdx, fsiAddr)
+		fail(reason, "entry %d: header at %06x lies outside the code space", evIdx, fsiAddr)
 		return 0, 0, false
 	}
 	fsi = int(a.code[fsiAddr])
 	entry = uint32(fsiAddr) + 1
 	if int64(entry) >= int64(len(a.code)) || !a.insts[entry].Valid() {
-		a.diag(pc, LevelError, reason,
-			"%sentry %d: first instruction at %06x does not decode", what, evIdx, entry)
+		fail(reason, "entry %d: first instruction at %06x does not decode", evIdx, entry)
 		return 0, 0, false
 	}
 	if fsi >= len(a.p.FrameSizes) {
-		a.diag(pc, LevelError, ReasonBadFrameSize,
-			"%sentry %d: frame class %d outside the %d-class table", what, evIdx, fsi, len(a.p.FrameSizes))
+		fail(ReasonBadFrameSize, "entry %d: frame class %d outside the %d-class table", evIdx, fsi, len(a.p.FrameSizes))
 		return 0, 0, false
 	}
 	return entry, fsi, true
 }
 
-// resolveDescQuiet resolves a descriptor word to a region index without
-// emitting any diagnostic: the value analysis uses it to classify COCREATE
-// operands and XFERO/STRAP targets, where an unresolvable word merely
-// degrades the value to untracked (the machine errors cleanly at runtime).
+// resolveDescQuiet resolves a descriptor word to a tracked region index
+// without emitting any diagnostic.
 func (a *analyzer) resolveDescQuiet(desc mem.Word) (r int, ok bool) {
 	if !image.IsProc(desc) {
 		return 0, false
 	}
-	gfi, ev := image.UnpackProc(desc)
-	gfte, present := a.data[image.GFTBase+mem.Addr(gfi)]
-	if !present {
+	entry, _, ok := a.resolveDescriptor(desc, ReasonBadDescriptor, quiet)
+	if !ok {
 		return 0, false
 	}
-	gf, bias := image.UnpackGFTEntry(gfte)
-	lo, okLo := a.data[gf]
-	hi, okHi := a.data[gf+1]
-	if !okLo || !okHi {
-		return 0, false
-	}
-	cb := uint32(lo) | uint32(hi)<<16
-	evIdx := ev + bias
-	evAddr := int64(cb) + int64(2*evIdx)
-	if evAddr+1 >= int64(len(a.code)) || evAddr < 0 {
-		return 0, false
-	}
-	evOff := uint32(a.code[evAddr]) | uint32(a.code[evAddr+1])<<8
-	fsiAddr := int64(cb) + int64(evOff)
-	if fsiAddr+1 >= int64(len(a.code)) {
-		return 0, false
-	}
-	r, isEntry := a.entryRegion[uint32(fsiAddr)+1]
-	if !isEntry || r >= maxTrackedRegions {
-		return 0, false
-	}
-	return r, true
+	r, ok = a.entryRegion[entry]
+	return r, ok && r < maxTrackedRegions
 }
 
 func (a *analyzer) report() *Report {

@@ -6,6 +6,7 @@ import (
 	"repro/internal/image"
 	"repro/internal/isa"
 	"repro/internal/linker"
+	"repro/internal/mem"
 	"repro/internal/verify"
 	"repro/internal/workload"
 )
@@ -167,6 +168,42 @@ func TestDescriptorPastEVRejected(t *testing.T) {
 	}
 	if !hasReason(r.Errors(), verify.ReasonBadDescriptor) {
 		t.Fatalf("missing %s:\n%s", verify.ReasonBadDescriptor, r)
+	}
+}
+
+// Each linkage word the machine re-reads must agree with the instance
+// metadata the regions are built from; a disagreement is rejected with
+// linkage-mismatch, never resolved against the metadata.
+func TestLinkageMismatchRejected(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mutate func(p *image.Program, in *image.Instance)
+	}{
+		{"entry-vector slot", func(p *image.Program, in *image.Instance) { p.Code[in.CodeBase] ^= 1 }},
+		{"frame-class byte", func(p *image.Program, in *image.Instance) { p.Code[in.CodeBase+uint32(in.EVOffsets[0])]++ }},
+		{"code base", func(p *image.Program, in *image.Instance) { setData(p, in.GF, mem.Word(in.CodeBase)+2) }},
+		{"GFT slot", func(p *image.Program, in *image.Instance) {
+			e, _ := image.PackGFTEntry(in.GF+4, 0)
+			setData(p, image.GFTBase+mem.Addr(in.GFIBase), e)
+		}},
+	} {
+		prog := buildWorkload(t, workload.Fib(5), false)
+		prog.Code = append([]byte(nil), prog.Code...)
+		prog.Data = append([]image.DataWord(nil), prog.Data...)
+		tc.mutate(prog, prog.Instances[0])
+		r := verify.Program(prog)
+		if r.Admitted() || !hasReason(r.Errors(), verify.ReasonLinkage) {
+			t.Errorf("%s: want a %s rejection:\n%s", tc.name, verify.ReasonLinkage, r)
+		}
+	}
+}
+
+// setData overwrites the initialized data word at addr.
+func setData(p *image.Program, addr mem.Addr, v mem.Word) {
+	for i := range p.Data {
+		if p.Data[i].Addr == addr {
+			p.Data[i].Val = v
+		}
 	}
 }
 
