@@ -25,10 +25,11 @@ bench:
 
 # Record the dispatch-engine and pool-throughput benchmarks into
 # BENCH_dispatch.json: the "current" block is replaced with fresh
-# measurements; the committed "baseline" block (the decode-per-step
-# engine before the decode-once refactor) is preserved for comparison.
+# measurements (with -benchmem, so entries carry B/op and allocs/op); the
+# committed "baseline" block (the decode-per-step engine before the
+# decode-once refactor) is preserved for comparison.
 bench-json:
-	$(GO) test -run '^$$' -bench 'BenchmarkDispatch|BenchmarkPoolThroughput$$|BenchmarkMachine|BenchmarkInterpreterDispatch|BenchmarkResetCertified' -count 3 . \
+	$(GO) test -run '^$$' -bench 'BenchmarkDispatch|BenchmarkPoolThroughput$$|BenchmarkMachine|BenchmarkInterpreterDispatch|BenchmarkResetCertified' -benchmem -count 3 . \
 		| $(GO) run ./scripts/benchjson -out BENCH_dispatch.json
 
 # Record the registry serving benchmarks into BENCH_serve.json: the cache

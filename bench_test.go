@@ -294,33 +294,6 @@ func BenchmarkPoolThroughput(b *testing.B) {
 	b.ReportMetric(mt.FastFraction(), "fastfrac")
 }
 
-// BenchmarkPoolThroughputNoHist is the same loop with the per-transfer
-// histogram recorder disabled on every pooled machine.
-func BenchmarkPoolThroughputNoHist(b *testing.B) {
-	prog := buildFib(b, true)
-	pool, err := fpc.NewPool(prog, fpc.ConfigFastCalls)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		m, err := pool.Get()
-		if err != nil {
-			b.Error(err)
-			return
-		}
-		m.SetRecorder(nil)
-		for pb.Next() {
-			if _, err := m.Call(prog.Entry, 15); err != nil {
-				b.Error(err)
-				return
-			}
-			m.Reset()
-		}
-		pool.Put(m)
-	})
-}
-
 // BenchmarkBoot compares the two ways to get a runnable machine: booting
 // from scratch (compile-free but full load: zeroed 64K store, data pokes,
 // heap boot, free-frame prefill) versus resetting a dirtied machine to its

@@ -62,9 +62,6 @@ type Machine = core.Machine
 // machine from it with NewMachine, or serve concurrently with a Pool.
 type LoadedImage = core.LoadedImage
 
-// Recorder receives per-transfer cost observations; see Machine.SetRecorder.
-type Recorder = core.Recorder
-
 // Config selects which of the paper's optimizations are active.
 type Config = core.Config
 

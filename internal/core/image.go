@@ -233,7 +233,6 @@ func (img *LoadedImage) NewMachine() (*Machine, error) {
 	if img.certified {
 		m.h = &certHandlers
 	}
-	m.rec = histRecorder{&m.metrics}
 	m.m.LoadFrom(img.boot)
 	h, err := frames.Adopt(m.m, img.heapConfig(), img.heapBoot)
 	if err != nil {

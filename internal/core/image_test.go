@@ -82,52 +82,6 @@ func TestImageConfigNormalized(t *testing.T) {
 	}
 }
 
-// TestSetRecorderNop: with the no-op recorder the per-transfer histograms
-// stay empty while every plain counter still accumulates, and the numbers
-// match a default-recorder run exactly.
-func TestSetRecorderNop(t *testing.T) {
-	img, p := buildImage(t, ConfigFastCalls)
-	withHist, err := img.NewMachine()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := withHist.Call(img.Entry(), p.Args...); err != nil {
-		t.Fatal(err)
-	}
-	ref := withHist.Metrics()
-
-	quiet, err := img.NewMachine()
-	if err != nil {
-		t.Fatal(err)
-	}
-	quiet.SetRecorder(nil)
-	if _, err := quiet.Call(img.Entry(), p.Args...); err != nil {
-		t.Fatal(err)
-	}
-	got := quiet.Metrics()
-	if got.Instructions != ref.Instructions || got.Cycles != ref.Cycles ||
-		got.FastTransfers != ref.FastTransfers || got.ChargedRefs != ref.ChargedRefs {
-		t.Fatalf("no-op recorder changed the counters:\nwith %+v\nquiet %+v", ref, got)
-	}
-	for k := range got.CyclesPer {
-		if got.CyclesPer[k].Count() != 0 || got.RefsPer[k].Count() != 0 {
-			t.Fatalf("kind %d histogram observed %d samples under the no-op recorder",
-				k, got.CyclesPer[k].Count())
-		}
-		if ref.Transfers[k] != got.Transfers[k] {
-			t.Fatalf("transfer counts diverged for kind %d", k)
-		}
-	}
-	// The recorder survives Reset.
-	quiet.Reset()
-	if _, err := quiet.Call(img.Entry(), p.Args...); err != nil {
-		t.Fatal(err)
-	}
-	if n := quiet.Metrics().CyclesPer[KindReturn].Count(); n != 0 {
-		t.Fatalf("recorder did not survive Reset: %d samples", n)
-	}
-}
-
 // TestMetricsDefensiveCopy: metrics handed to a caller must not change
 // when the machine keeps running or is reset.
 func TestMetricsDefensiveCopy(t *testing.T) {

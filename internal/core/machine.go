@@ -136,7 +136,6 @@ type Machine struct {
 	halted  bool
 	cycles  uint64 // non-memory cycles; memory cycles derive from reference counts
 	metrics Metrics
-	rec     Recorder // per-transfer cost observer; swap via SetRecorder
 
 	// Per-run execution bounds (a serving layer's request budget and
 	// deadline). runBudget bounds the next Run's step count below the
@@ -176,7 +175,7 @@ func (m *Machine) Image() *LoadedImage { return m.img }
 // the verifier's write-free heap-effects certificate and the dirty window
 // confirms the run wrote no data word, even that copy (and the allocator
 // rewind behind it) is elided. Metrics, output and all processor registers
-// are cleared; the recorder installed by SetRecorder is kept.
+// are cleared; Metrics is emptied in place, keeping its histograms' storage.
 func (m *Machine) Reset() {
 	if m.resetElide && m.m.DirtyWords() == 0 {
 		// Write-free run over a write-free-certified image: the store still
@@ -203,7 +202,7 @@ func (m *Machine) Reset() {
 	m.trapSaves = nil
 	m.halted = false
 	m.cycles = 0
-	m.metrics = Metrics{}
+	m.metrics.reset()
 	m.snapRefs, m.snapCyc = 0, 0
 	m.runBudget = 0
 	m.cancel = nil
@@ -259,15 +258,14 @@ func (m *Machine) snapshot() {
 // recordTransfer attributes the cost since the last snapshot to kind. A
 // call or return that needed no references and only the standard refill is
 // indistinguishable from an unconditional jump — the headline statistic.
-// The histogram observation goes through the recorder so hot loops can
-// turn it off (SetRecorder(nil)) without a branch here.
 func (m *Machine) recordTransfer(kind TransferKind) {
 	refs := m.refs() - m.snapRefs
 	cyc := (m.cycles - m.snapCyc) + CycMemRef*refs + CycDispatch
 	if kind != KindXfer && cyc == JumpCycles {
 		m.metrics.FastTransfers++
 	}
-	m.rec.Transfer(kind, refs, cyc)
+	m.metrics.RefsPer[kind].Observe(int(refs))
+	m.metrics.CyclesPer[kind].Observe(int(cyc))
 }
 
 // Mem exposes the store for tests and trap handlers.

@@ -99,6 +99,16 @@ func (m *Metrics) Clone() *Metrics {
 	return &c
 }
 
+// reset empties m in place. The histograms keep their dense storage, so
+// a machine reused run after run does not reallocate it.
+func (m *Metrics) reset() {
+	*m = Metrics{RefsPer: m.RefsPer, CyclesPer: m.CyclesPer}
+	for k := range m.RefsPer {
+		m.RefsPer[k].Reset()
+		m.CyclesPer[k].Reset()
+	}
+}
+
 // Merge folds other into m — the aggregate accounting a machine pool keeps
 // across runs. Every counter sums; the per-transfer histograms merge.
 func (m *Metrics) Merge(other *Metrics) {

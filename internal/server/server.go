@@ -372,17 +372,19 @@ func (s *Server) runAdmitted(w http.ResponseWriter, r *http.Request, tn *tenantS
 	}
 	select {
 	case s.slots <- struct{}{}:
-		s.dequeue(true)
-	case <-time.After(s.cfg.QueueTimeout):
-		s.dequeue(false)
-		s.countShed(&s.c.shedQueueWait)
-		http.Error(w, "queue wait timed out", http.StatusServiceUnavailable)
-		return nil, http.StatusServiceUnavailable, nil, false
-	case <-r.Context().Done():
-		s.dequeue(false)
-		s.countShed(&s.c.canceledByPeer)
-		return nil, 0, nil, false
+	default:
+		if got, timedOut := s.await(r, s.slots); !got {
+			s.dequeue(false)
+			if !timedOut {
+				s.countShed(&s.c.canceledByPeer)
+				return nil, 0, nil, false
+			}
+			s.countShed(&s.c.shedQueueWait)
+			http.Error(w, "queue wait timed out", http.StatusServiceUnavailable)
+			return nil, http.StatusServiceUnavailable, nil, false
+		}
 	}
+	s.dequeue(true)
 	defer func() {
 		<-s.slots
 		s.mu.Lock()
@@ -488,6 +490,24 @@ func (s *Server) admitRequest(req *CallRequest) (desc fpc.Word, args []fpc.Word,
 		return 0, nil, 0, errMsg
 	}
 	return desc, args, s.clampBudget(req.Budget), ""
+}
+
+// await puts a token into sem — a run slot or a tenant token — waiting at
+// most QueueTimeout. Callers reach it only when no token was free at once,
+// so a request that never waits arms no timer; the timer is stopped on
+// every exit, so none outlives the wait. got reports a token taken;
+// otherwise timedOut tells a timeout from the client going away.
+func (s *Server) await(r *http.Request, sem chan struct{}) (got, timedOut bool) {
+	t := time.NewTimer(s.cfg.QueueTimeout)
+	defer t.Stop()
+	select {
+	case sem <- struct{}{}:
+		return true, false
+	case <-t.C:
+		return false, true
+	case <-r.Context().Done():
+		return false, false
+	}
 }
 
 // enqueue reserves a queue position, refusing when the queue is full.

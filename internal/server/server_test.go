@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -425,4 +426,39 @@ func TestServerBadRequests(t *testing.T) {
 	if vals["fpc_server_bad_requests_total"] != 4 {
 		t.Errorf("bad requests = %v, want 4", vals["fpc_server_bad_requests_total"])
 	}
+}
+
+// TestQueueTimerNotRetained: a request that finds a free run slot arms no
+// queue timer, so a long QueueTimeout leaves nothing live behind it. A
+// timer armed for every request would stay reachable for the full
+// timeout and grow the heap by a few objects per request.
+func TestQueueTimerNotRetained(t *testing.T) {
+	s, _ := newTestServer(t, server.Config{QueueTimeout: time.Hour})
+	body := []byte(`{"args":[3]}`)
+	path := "/call/" + s.BootHash()
+	serve := func(n int) {
+		for i := 0; i < n; i++ {
+			rec := httptest.NewRecorder()
+			s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("status %d: %s", rec.Code, rec.Body)
+			}
+		}
+	}
+	liveObjects := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapObjects
+	}
+	serve(100)
+	before := liveObjects()
+	const n = 10_000
+	serve(n)
+	after := liveObjects()
+	grown := int64(after) - int64(before)
+	if grown >= 1000 {
+		t.Fatalf("%d requests left %d more live heap objects, want fewer than 1000", n, grown)
+	}
+	t.Logf("%d requests: live heap objects grew by %d", n, grown)
 }

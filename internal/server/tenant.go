@@ -122,19 +122,18 @@ func (s *Server) admitTenant(r *http.Request, t *tenantState) (release func(), s
 		s.mu.Unlock()
 	}()
 
-	select {
-	case t.sem <- struct{}{}:
-		return func() { <-t.sem }, 0, ""
-	case <-time.After(s.cfg.QueueTimeout):
+	if got, timedOut := s.await(r, t.sem); !got {
+		if !timedOut {
+			s.countShed(&s.c.canceledByPeer)
+			return nil, 0, ""
+		}
 		s.mu.Lock()
 		t.c.shedQueueWait++
 		s.c.shedTenant++
 		s.mu.Unlock()
 		return nil, http.StatusServiceUnavailable, "tenant queue wait timed out"
-	case <-r.Context().Done():
-		s.countShed(&s.c.canceledByPeer)
-		return nil, 0, ""
 	}
+	return func() { <-t.sem }, 0, ""
 }
 
 // takeStepQuota refills the tenant's bucket at TenantStepRate and reports

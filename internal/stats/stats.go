@@ -41,32 +41,28 @@ func Percent(c, total uint64) string {
 	return fmt.Sprintf("%.1f%%", 100*Ratio(c, total))
 }
 
+// denseLimit bounds the values a Histogram counts densely. The
+// simulator's per-transfer reference and cycle samples fall well inside
+// [0, denseLimit): at most 33 references and 71 cycles over the corpus and
+// 2,000 random programs, under every config and linkage.
+const denseLimit = 256
+
 // Histogram accumulates integer samples and reports order statistics.
 // The zero value is ready to use.
+//
+// Samples in [0, denseLimit) are counted in dense, indexed by value: its
+// length is one past the largest such sample, and Reset keeps its backing
+// array, so a histogram reused run after run stops allocating. Any other
+// sample is counted in sparse.
 type Histogram struct {
-	counts map[int]uint64
+	dense  []uint64
+	sparse map[int]uint64
 	total  uint64
 	sum    int64
-	min    int
-	max    int
 }
 
 // Observe records one sample.
-func (h *Histogram) Observe(v int) {
-	if h.counts == nil {
-		h.counts = make(map[int]uint64)
-		h.min, h.max = v, v
-	}
-	if v < h.min {
-		h.min = v
-	}
-	if v > h.max {
-		h.max = v
-	}
-	h.counts[v]++
-	h.total++
-	h.sum += int64(v)
-}
+func (h *Histogram) Observe(v int) { h.ObserveN(v, 1) }
 
 // ObserveN records the same sample n times, in constant time — bulk
 // reconstruction (a histogram codec replaying Buckets) must not pay per
@@ -75,28 +71,45 @@ func (h *Histogram) ObserveN(v int, n uint64) {
 	if n == 0 {
 		return
 	}
-	if h.counts == nil {
-		h.counts = make(map[int]uint64)
-		h.min, h.max = v, v
+	if uint(v) < denseLimit {
+		h.growDense(v + 1)
+		h.dense[v] += n
+	} else {
+		if h.sparse == nil {
+			h.sparse = make(map[int]uint64)
+		}
+		h.sparse[v] += n
 	}
-	if v < h.min {
-		h.min = v
-	}
-	if v > h.max {
-		h.max = v
-	}
-	h.counts[v] += n
 	h.total += n
 	h.sum += int64(v) * int64(n)
 }
 
-// Clone returns an independent deep copy of the histogram.
+// growDense extends dense to at least n zeroed slots, reusing its
+// backing array while it has room.
+func (h *Histogram) growDense(n int) {
+	if n > len(h.dense) {
+		h.dense = append(h.dense, make([]uint64, n-len(h.dense))...)
+	}
+}
+
+// Reset empties the histogram in place. The dense storage is kept, so a
+// histogram reused run after run stops allocating once it has grown.
+func (h *Histogram) Reset() {
+	*h = Histogram{dense: h.dense[:0]}
+}
+
+// Clone returns an independent deep copy of the histogram. The copy holds
+// only the dense slots up to the largest sample, so a clone of a reset and
+// reused histogram equals a clone of a fresh one given the same samples.
 func (h *Histogram) Clone() Histogram {
-	c := *h
-	if h.counts != nil {
-		c.counts = make(map[int]uint64, len(h.counts))
-		for k, v := range h.counts {
-			c.counts[k] = v
+	c := Histogram{total: h.total, sum: h.sum}
+	if len(h.dense) > 0 {
+		c.dense = append([]uint64(nil), h.dense...)
+	}
+	if h.sparse != nil {
+		c.sparse = make(map[int]uint64, len(h.sparse))
+		for k, v := range h.sparse {
+			c.sparse[k] = v
 		}
 	}
 	return c
@@ -105,21 +118,15 @@ func (h *Histogram) Clone() Histogram {
 // Merge folds other's samples into h (aggregate accounting across pooled
 // machines).
 func (h *Histogram) Merge(other *Histogram) {
-	if other.total == 0 {
-		return
+	h.growDense(len(other.dense))
+	for v, c := range other.dense {
+		h.dense[v] += c
 	}
-	if h.counts == nil {
-		h.counts = make(map[int]uint64, len(other.counts))
-		h.min, h.max = other.min, other.max
+	if len(other.sparse) > 0 && h.sparse == nil {
+		h.sparse = make(map[int]uint64, len(other.sparse))
 	}
-	if other.min < h.min {
-		h.min = other.min
-	}
-	if other.max > h.max {
-		h.max = other.max
-	}
-	for k, v := range other.counts {
-		h.counts[k] += v
+	for k, v := range other.sparse {
+		h.sparse[k] += v
 	}
 	h.total += other.total
 	h.sum += other.sum
@@ -136,7 +143,8 @@ func (h *Histogram) Min() int {
 	if h.total == 0 {
 		return 0
 	}
-	return h.min
+	keys, _ := h.Buckets()
+	return keys[0]
 }
 
 // Max reports the largest sample, or 0 if empty.
@@ -144,7 +152,8 @@ func (h *Histogram) Max() int {
 	if h.total == 0 {
 		return 0
 	}
-	return h.max
+	keys, _ := h.Buckets()
+	return keys[len(keys)-1]
 }
 
 // Mean reports the arithmetic mean, or 0 if empty.
@@ -171,10 +180,10 @@ func (h *Histogram) Quantile(q float64) int {
 	if need == 0 {
 		need = 1
 	}
-	keys := h.sortedKeys()
+	keys, counts := h.Buckets()
 	var seen uint64
-	for _, k := range keys {
-		seen += h.counts[k]
+	for i, k := range keys {
+		seen += counts[i]
 		if seen >= need {
 			return k
 		}
@@ -194,33 +203,41 @@ func (h *Histogram) FractionAtMost(v int) float64 {
 // count a Prometheus-style histogram exposition needs.
 func (h *Histogram) CountAtMost(v int) uint64 {
 	var n uint64
-	for k, c := range h.counts {
+	for k, c := range h.sparse {
 		if k <= v {
 			n += c
 		}
+	}
+	for k := 0; k <= v && k < len(h.dense); k++ {
+		n += h.dense[k]
 	}
 	return n
 }
 
 // CountOf reports how many samples equal v exactly.
-func (h *Histogram) CountOf(v int) uint64 { return h.counts[v] }
-
-func (h *Histogram) sortedKeys() []int {
-	keys := make([]int, 0, len(h.counts))
-	for k := range h.counts {
-		keys = append(keys, k)
+func (h *Histogram) CountOf(v int) uint64 {
+	if uint(v) < uint(len(h.dense)) {
+		return h.dense[v]
 	}
-	sort.Ints(keys)
-	return keys
+	return h.sparse[v]
 }
 
 // Buckets returns the distinct sample values in ascending order with their
 // counts, for rendering distributions.
 func (h *Histogram) Buckets() ([]int, []uint64) {
-	keys := h.sortedKeys()
+	keys := make([]int, 0, len(h.dense)+len(h.sparse))
+	for v, c := range h.dense {
+		if c != 0 {
+			keys = append(keys, v)
+		}
+	}
+	for k := range h.sparse {
+		keys = append(keys, k)
+	}
+	sort.Ints(keys)
 	counts := make([]uint64, len(keys))
 	for i, k := range keys {
-		counts[i] = h.counts[k]
+		counts[i] = h.CountOf(k)
 	}
 	return keys, counts
 }

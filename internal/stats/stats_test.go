@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -61,29 +62,148 @@ func TestHistogramBasics(t *testing.T) {
 	}
 }
 
+// TestHistogramQuantileMatchesSort checks every order statistic against
+// a sorted copy of the samples, which are drawn on both sides of the dense
+// range's edges: negatives, the range itself, its last slot, the first
+// value past it, and values ≥ 10⁶. It also checks that Clone is
+// independent, that Merge equals observing both sample sets, and that a
+// Reset histogram given fewer, smaller samples equals a fresh one.
 func TestHistogramQuantileMatchesSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 50; trial++ {
-		var h Histogram
-		n := 1 + rng.Intn(200)
+	draw := func() int {
+		switch rng.Intn(6) {
+		case 0:
+			return -1 - rng.Intn(20)
+		case 1:
+			return denseLimit - 1
+		case 2:
+			return denseLimit
+		case 3:
+			return 1_000_000 + rng.Intn(5)
+		default:
+			return rng.Intn(denseLimit)
+		}
+	}
+	sample := func(n int) (*Histogram, []int) {
+		h := &Histogram{}
 		vals := make([]int, n)
 		for i := range vals {
-			vals[i] = rng.Intn(40) - 10
+			vals[i] = draw()
 			h.Observe(vals[i])
 		}
-		sort.Ints(vals)
-		for _, q := range []float64{0, 0.1, 0.25, 0.5, 0.9, 0.95, 1} {
-			idx := int(q*float64(n)+0.9999) - 1
-			if idx < 0 {
-				idx = 0
-			}
-			if idx >= n {
-				idx = n - 1
-			}
-			if got, want := h.Quantile(q), vals[idx]; got != want {
-				t.Fatalf("trial %d n=%d q=%v: got %d want %d", trial, n, q, got, want)
-			}
+		return h, vals
+	}
+	for trial := 0; trial < 50; trial++ {
+		n := 1 + rng.Intn(200)
+		h, vals := sample(n)
+		checkAgainstSort(t, h, vals)
+
+		c := h.Clone()
+		c.Observe(denseLimit - 1)
+		c.Observe(-7)
+		checkAgainstSort(t, h, vals)
+
+		o, ovals := sample(1 + rng.Intn(100))
+		both := Histogram{}
+		for _, v := range append(append([]int(nil), vals...), ovals...) {
+			both.Observe(v)
 		}
+		var merged Histogram
+		merged.Merge(h)
+		merged.Merge(o)
+		if !reflect.DeepEqual(merged, both) {
+			t.Fatalf("trial %d: Merge differs from observing both sample sets", trial)
+		}
+
+		// Fewer, smaller samples after Reset: the kept storage must not
+		// show. One sample is dense, so both sides hold a dense slice.
+		h.Reset()
+		fresh := Histogram{}
+		for i, k := 0, 1+rng.Intn(n); i < k; i++ {
+			v := rng.Intn(denseLimit / 2)
+			if i > 0 && rng.Intn(3) == 0 {
+				v = -v - 1
+			}
+			h.Observe(v)
+			fresh.Observe(v)
+		}
+		if !reflect.DeepEqual(*h, fresh) {
+			t.Fatalf("trial %d: reset histogram %+v, fresh %+v", trial, *h, fresh)
+		}
+	}
+
+	// A reset histogram that gets no dense sample keeps empty storage,
+	// which its Clone drops.
+	var h Histogram
+	h.Observe(3)
+	h.Reset()
+	h.Observe(-2)
+	var fresh Histogram
+	fresh.Observe(-2)
+	if c := h.Clone(); !reflect.DeepEqual(c, fresh) {
+		t.Fatalf("clone of reset histogram %+v, fresh %+v", c, fresh)
+	}
+
+	// Merging into an empty histogram takes the other's Min and Max.
+	var pos, merged Histogram
+	pos.Observe(5)
+	pos.Observe(denseLimit + 1)
+	merged.Merge(&pos)
+	if !reflect.DeepEqual(merged, pos) {
+		t.Fatalf("merge into empty %+v, want %+v", merged, pos)
+	}
+}
+
+// checkAgainstSort compares h's order statistics with those of vals.
+func checkAgainstSort(t *testing.T, h *Histogram, vals []int) {
+	t.Helper()
+	sorted := append([]int(nil), vals...)
+	sort.Ints(sorted)
+	n := len(sorted)
+	for _, q := range []float64{0, 0.1, 0.25, 0.5, 0.9, 0.95, 1} {
+		idx := int(q*float64(n)+0.9999) - 1
+		if idx < 0 {
+			idx = 0
+		}
+		if idx >= n {
+			idx = n - 1
+		}
+		if got, want := h.Quantile(q), sorted[idx]; got != want {
+			t.Fatalf("n=%d q=%v: got %d want %d", n, q, got, want)
+		}
+	}
+	var keys []int
+	var counts []uint64
+	var sum int64
+	for i, v := range sorted {
+		sum += int64(v)
+		if i == 0 || v != sorted[i-1] {
+			keys = append(keys, v)
+			counts = append(counts, 0)
+		}
+		counts[len(counts)-1]++
+	}
+	gk, gc := h.Buckets()
+	if !reflect.DeepEqual(gk, keys) || !reflect.DeepEqual(gc, counts) {
+		t.Fatalf("Buckets = %v %v, want %v %v", gk, gc, keys, counts)
+	}
+	for i, k := range keys {
+		if got := h.CountOf(k); got != counts[i] {
+			t.Fatalf("CountOf(%d) = %d, want %d", k, got, counts[i])
+		}
+	}
+	for _, v := range []int{-100, -1, 0, 1, denseLimit - 2, denseLimit - 1, denseLimit, 999_999, 1_000_002, 2_000_000} {
+		want := uint64(sort.SearchInts(sorted, v+1))
+		if got := h.CountAtMost(v); got != want {
+			t.Fatalf("CountAtMost(%d) = %d, want %d", v, got, want)
+		}
+		if got := h.CountOf(v); got != uint64(sort.SearchInts(sorted, v+1)-sort.SearchInts(sorted, v)) {
+			t.Fatalf("CountOf(%d) = %d", v, got)
+		}
+	}
+	if h.Min() != sorted[0] || h.Max() != sorted[n-1] || h.Sum() != sum || h.Count() != uint64(n) {
+		t.Fatalf("Min/Max/Sum/Count = %d/%d/%d/%d, want %d/%d/%d/%d",
+			h.Min(), h.Max(), h.Sum(), h.Count(), sorted[0], sorted[n-1], sum, n)
 	}
 }
 

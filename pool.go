@@ -86,8 +86,11 @@ func (p *Pool) Get() (*Machine, error) {
 // Put merges the machine's metrics into the pool aggregate, resets it to
 // boot state, and recycles it. The machine must have come from Get on
 // this pool.
-func (p *Pool) Put(m *Machine) {
-	mt := m.Metrics()
+func (p *Pool) Put(m *Machine) { p.recycle(m, m.Metrics()) }
+
+// recycle merges mt, the machine's final metrics, into the aggregate,
+// resets the machine and returns it to the pool.
+func (p *Pool) recycle(m *Machine, mt *Metrics) {
 	p.mu.Lock()
 	p.agg.Merge(mt)
 	p.runs++
@@ -129,17 +132,24 @@ func (p *Pool) Call(desc Word, args ...Word) ([]Word, error) {
 // failure — carrying the run's results, output and own metrics for
 // per-request accounting.
 //
-// The machine is recycled (Put resets it, clearing the per-run bounds) no
-// matter how the run ended. The recycle is deferred so even a panicking
-// run (a panicking Config.Trap handler or cancel probe) hands its machine
-// and metrics back before the panic propagates — a pooled machine can
-// never leak.
+// The machine is recycled (reset, clearing the per-run bounds) no matter
+// how the run ended, and the one Metrics copy the result carries is the
+// one merged into the aggregate. The recycle is deferred so even a
+// panicking run (a panicking Config.Trap handler or cancel probe) hands
+// its machine and metrics back before the panic propagates — a pooled
+// machine can never leak.
 func (p *Pool) CallContext(ctx context.Context, desc Word, budget uint64, args ...Word) (*CallResult, error) {
 	m, err := p.Get()
 	if err != nil {
 		return nil, err
 	}
-	defer p.Put(m)
+	var mt *Metrics
+	defer func() {
+		if mt == nil {
+			mt = m.Metrics()
+		}
+		p.recycle(m, mt)
+	}()
 	if budget > 0 {
 		m.SetRunBudget(budget)
 	}
@@ -147,10 +157,11 @@ func (p *Pool) CallContext(ctx context.Context, desc Word, budget uint64, args .
 		m.SetCancel(ctx.Err)
 	}
 	results, err := m.Call(desc, args...)
+	mt = m.Metrics()
 	return &CallResult{
 		Results: results,
 		Output:  append([]Word(nil), m.Output...),
-		Metrics: m.Metrics(),
+		Metrics: mt,
 	}, err
 }
 

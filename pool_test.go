@@ -131,6 +131,54 @@ func TestPoolMetricsMerge(t *testing.T) {
 	}
 }
 
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
+
+// TestPoolCallAllocs bounds the allocations of one call on a warm pool:
+// the run's own results and metrics copy, not bookkeeping that grows with
+// the request rate. fib(3) runs on a certified image, sieve(9) on the
+// checked table.
+func TestPoolCallAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts differ under the race detector")
+	}
+	for _, tc := range []struct {
+		p   *workload.Program
+		max float64
+	}{
+		{workload.Fib(3), 12},
+		{workload.Sieve(9), 8},
+	} {
+		t.Run(tc.p.Name, func(t *testing.T) {
+			prog, _, err := tc.p.Build(fpc.DefaultLinkOptions(fpc.ConfigFastCalls))
+			if err != nil {
+				t.Fatal(err)
+			}
+			pool, err := fpc.NewPool(prog, fpc.ConfigFastCalls)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := pool.Warm(1); err != nil {
+				t.Fatal(err)
+			}
+			ctx := context.Background()
+			got := testing.AllocsPerRun(200, func() {
+				cr, err := pool.CallContext(ctx, prog.Entry, 0, tc.p.Args...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tc.p.Want != nil && (len(cr.Results) != 1 || cr.Results[0] != *tc.p.Want) {
+					t.Fatalf("results %v, want %d", cr.Results, *tc.p.Want)
+				}
+			})
+			if got > tc.max {
+				t.Fatalf("%.1f allocations per call, want at most %v", got, tc.max)
+			}
+			t.Logf("%.1f allocations per call", got)
+		})
+	}
+}
+
 // TestPoolConcurrentStress hammers one Pool — one shared LoadedImage —
 // from many goroutines. Run under -race this is the §6 "orderly retreat"
 // of the serving layer: no shared mutable state outside the pool's own
