@@ -29,7 +29,7 @@ bench:
 # committed "baseline" block (the decode-per-step engine before the
 # decode-once refactor) is preserved for comparison.
 bench-json:
-	$(GO) test -run '^$$' -bench 'BenchmarkDispatch|BenchmarkPoolThroughput$$|BenchmarkMachine|BenchmarkInterpreterDispatch|BenchmarkResetCertified' -benchmem -count 3 . \
+	$(GO) test -run '^$$' -bench 'BenchmarkDispatch|BenchmarkPoolThroughput$$|BenchmarkInterpreterDispatch|BenchmarkResetCertified' -benchmem -count 3 . \
 		| $(GO) run ./scripts/benchjson -out BENCH_dispatch.json
 
 # Record the registry serving benchmarks into BENCH_serve.json: the cache
@@ -66,9 +66,9 @@ fuzz-smoke:
 
 # Verifier soundness smoke: sweep seeds 0..19999 through the differential
 # oracle, which also checks that (a) every generated program is admitted
-# by the static verifier under both linkage policies, (b) certified
-# (bounds-check-free) execution is byte-identical to checked execution and
-# (c) an elided Reset is byte-identical to the full restore. certfrac then
+# by the static verifier under both linkage policies, (b) no run of a
+# program with certified stack bounds raises a stack fault and (c) an
+# elided Reset is byte-identical to the full restore. certfrac then
 # re-measures the certified fraction over seeds 0..9999 and fails the run
 # if it regressed below the fraction recorded in BENCH_dispatch.json.
 verify-corpus:

@@ -158,73 +158,6 @@ func buildFib(b *testing.B, early bool) *fpc.Program {
 	return prog
 }
 
-func benchMachine(b *testing.B, cfg fpc.Config, early bool) {
-	prog := buildFib(b, early)
-	m, err := fpc.NewMachine(prog, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	var calls uint64
-	for i := 0; i < b.N; i++ {
-		if _, err := m.Call(prog.Entry, 15); err != nil {
-			b.Fatal(err)
-		}
-	}
-	mt := m.Metrics()
-	calls = mt.CallsAndReturns()
-	b.ReportMetric(float64(mt.Cycles)/float64(b.N), "simcycles/op")
-	b.ReportMetric(float64(calls)/float64(b.N), "simcalls/op")
-}
-
-// BenchmarkMachineI2Mesa times a whole fib(15) run under the §5 scheme.
-func BenchmarkMachineI2Mesa(b *testing.B) { benchMachine(b, fpc.ConfigMesa, false) }
-
-// BenchmarkMachineI3FastFetch adds the return stack and direct calls.
-func BenchmarkMachineI3FastFetch(b *testing.B) { benchMachine(b, fpc.ConfigFastFetch, true) }
-
-// BenchmarkMachineI4FastCalls is the full optimization stack.
-func BenchmarkMachineI4FastCalls(b *testing.B) { benchMachine(b, fpc.ConfigFastCalls, true) }
-
-// BenchmarkDispatchCertified measures what the verifier's stack-bounds
-// certificate buys at run time: the same fib(15) workload on the same
-// shared image, once on the checked dispatch table (every push/pop
-// range-tested) and once on the certified table LoadImageVerified selects
-// when the report proves the 13-word bound. The delta is the pure cost of
-// the per-instruction bounds checks.
-func BenchmarkDispatchCertified(b *testing.B) {
-	prog := buildFib(b, true)
-	for _, mode := range []struct {
-		name string
-		load func() (*fpc.LoadedImage, error)
-	}{
-		{"checked", func() (*fpc.LoadedImage, error) { return fpc.LoadImage(prog, fpc.ConfigFastCalls) }},
-		{"certified", func() (*fpc.LoadedImage, error) { return fpc.LoadImageVerified(prog, fpc.ConfigFastCalls) }},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			img, err := mode.load()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if mode.name == "certified" && !img.Certified() {
-				b.Fatal("fib image should certify")
-			}
-			m, err := img.NewMachine()
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := m.Call(img.Entry(), 15); err != nil {
-					b.Fatal(err)
-				}
-			}
-			mt := m.Metrics()
-			b.ReportMetric(float64(mt.Cycles)/float64(b.N), "simcycles/op")
-		})
-	}
-}
-
 // BenchmarkResetCertified measures what the heap-effects certificate buys
 // at reuse time: the same shallow (bank-resident, write-free at run time)
 // fib workload in a call-Reset serving loop on the same configuration,

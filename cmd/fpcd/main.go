@@ -126,9 +126,9 @@ func main() {
 		}
 		pool = fpc.NewPoolFromImage(img)
 		if img.Certified() {
-			fmt.Println("fpcd: program verified, stack bounds certified (fast dispatch)")
+			fmt.Println("fpcd: program verified, stack bounds certified")
 		} else {
-			fmt.Println("fpcd: program verified (checked dispatch)")
+			fmt.Println("fpcd: program verified")
 		}
 	} else {
 		pool, err = fpc.NewPool(prog, cfg)

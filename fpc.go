@@ -168,10 +168,10 @@ func Verify(prog *Program) *VerifyReport {
 }
 
 // LoadImageVerified is LoadImage behind the verifier: a rejected program
-// fails with a *VerifyError (inspect its Report), and an admitted program
-// whose stack bounds are certified gets the fast handler table — machines
-// booted from the image skip the per-instruction stack-bounds checks
-// (LoadedImage.Certified reports the choice).
+// fails with a *VerifyError (inspect its Report), and an admitted program's
+// image keeps the report and its certificates (LoadedImage.Certified
+// reports the stack-bounds certificate; the heap-effects certificate lets
+// Reset skip its memory restore).
 func LoadImageVerified(prog *Program, cfg Config) (*LoadedImage, error) {
 	return core.LoadImage(prog, cfg, core.WithVerify())
 }

@@ -178,3 +178,152 @@ func TestHandlerFaultFidelity(t *testing.T) {
 		}
 	})
 }
+
+// stackFaultCase is one row of TestStackFaultFidelity: op runs with depth
+// operands on the stack and must fault in push (full stack) or pop.
+type stackFaultCase struct {
+	op    isa.Op
+	arg   int32
+	depth int
+	push  bool      // push fault at depth EvalStackDepth; pop fault otherwise
+	refs  [3]uint64 // refs op charges before faulting: mesa, fastfetch, fastcalls
+	local uint64    // LocalVarRefs op counts before faulting
+	glob  uint64    // GlobalVarRefs
+	ptr   uint64    // PointerRefs
+}
+
+// stackFaultCases lists every opcode whose handler calls push, pop or
+// pop2, read off the opcode metadata's stack effect: an empty stack for an
+// opcode that pops, one operand for one that pops two, and a full stack
+// for one that pushes more than it pops. XFERO and TRAPB declare a
+// variable effect: XFERO pops its context, and TRAPB, resolved by a Go
+// trap hook, pushes the default result.
+func stackFaultCases() []stackFaultCase {
+	var cases []stackFaultCase
+	for op := isa.Op(0); op < isa.NumOps; op++ {
+		info := isa.InfoOf(op)
+		pops, pushes := int(info.Pops), int(info.Pushes)
+		switch op {
+		case isa.XFERO:
+			pops, pushes = 1, 0
+		case isa.TRAPB:
+			pops, pushes = 0, 1
+		}
+		c := stackFaultCase{op: op}
+		switch {
+		case info.Class == isa.ClassLocal && op != isa.LAB:
+			c.local = 1
+		case info.Class == isa.ClassGlobal:
+			c.glob = 1
+		case info.Class == isa.ClassPointer:
+			c.ptr = 1
+		}
+		switch op {
+		case isa.LLB, isa.SLB:
+			c.arg = 8
+		case isa.LGB, isa.SGB, isa.TRAPB:
+			c.arg = 4
+		case isa.RFB, isa.WFB:
+			c.arg = 1
+		}
+		if pops >= 1 {
+			cases = append(cases, c)
+		}
+		if pops == 2 {
+			one := c
+			one.depth = 1
+			cases = append(cases, one)
+		}
+		if pushes > pops {
+			full := c
+			full.depth = EvalStackDepth
+			full.push = true
+			switch {
+			case op >= isa.LL0 && op <= isa.LL7, op == isa.LLB:
+				full.refs = [3]uint64{1, 1, 0} // the local: a storage read, or a bank hit
+			case op >= isa.LG0 && op <= isa.LGB:
+				full.refs = [3]uint64{1, 1, 1}
+			case op == isa.LAB:
+				// The header flag's read and write; fastcalls first flushes
+				// the frame's bank, whose two linkage words are dirty.
+				full.refs = [3]uint64{2, 2, 4}
+			case op == isa.AFB:
+				// Class 0's free list starts empty, so the frame comes from
+				// a replenish.
+				full.refs = [3]uint64{20, 20, 20}
+			}
+			cases = append(cases, full)
+		}
+	}
+	return cases
+}
+
+// TestStackFaultFidelity pins every evaluation-stack fault a handler can
+// raise: on each configuration, the run fails at the faulting
+// instruction's post-advance pc with the exact fault text, and SP, the
+// output record and the reference counters show precisely the work done
+// before the fault.
+func TestStackFaultFidelity(t *testing.T) {
+	cfgs := []struct {
+		name string
+		cfg  Config
+	}{{"mesa", ConfigMesa}, {"fastfetch", ConfigFastFetch}, {"fastcalls", ConfigFastCalls}}
+	for _, c := range stackFaultCases() {
+		name := fmt.Sprintf("%s/depth%d", c.op, c.depth)
+		t.Run(name, func(t *testing.T) {
+			// LIB 7; OUT marks the body and leaves [7] in the output record.
+			prog, i := linkBad(t, []byte{byte(isa.LIB), 7, byte(isa.OUT)}, 9, func(a *image.Asm) {
+				a.Emit(isa.LIB, 7)
+				a.Emit(isa.OUT)
+				for j := 0; j < c.depth; j++ {
+					a.Emit(isa.LI1)
+				}
+				if c.op.IsJump() {
+					l := a.NewLabel()
+					a.EmitJump(c.op, l)
+					a.Bind(l)
+				} else if isa.InfoOf(c.op).Operand == isa.OpdNone {
+					a.Emit(c.op)
+				} else {
+					a.Emit(c.op, c.arg)
+				}
+				a.Emit(isa.RET)
+			})
+			pc := i + 3 + c.depth + isa.InfoOf(c.op).Len()
+			fault, sp := "pop of empty stack", 0
+			if c.push {
+				fault, sp = fmt.Sprintf("push at depth %d", EvalStackDepth), EvalStackDepth
+			}
+			want := fmt.Sprintf("%s at pc %06x: %s: %s", prog.ProcName(uint32(pc)), pc, ErrStack, fault)
+			desc, err := prog.FindProc("bad", "main")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k, cf := range cfgs {
+				cfg := cf.cfg
+				cfg.Trap = func(*Machine, int) error { return nil } // TRAPB resumes with its default result
+				m, err := New(prog, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := m.Start(desc); err != nil {
+					t.Fatal(err)
+				}
+				base := m.Metrics().ChargedRefs
+				err = m.Run()
+				if err == nil || err.Error() != want {
+					t.Fatalf("%s: error = %v, want %q", cf.name, err, want)
+				}
+				mt := m.Metrics()
+				got := [...]uint64{uint64(m.SP()), mt.Instructions, mt.LocalVarRefs, mt.GlobalVarRefs, mt.PointerRefs, mt.ChargedRefs - base}
+				exp := [...]uint64{uint64(sp), uint64(3 + c.depth), c.local, c.glob, c.ptr, c.refs[k]}
+				if got != exp {
+					t.Errorf("%s: sp, instructions, local, global, pointer, refs = %v, want %v", cf.name, got, exp)
+				}
+				if !reflect.DeepEqual(m.Output, []mem.Word{7}) {
+					t.Errorf("%s: output = %v, want [7]", cf.name, m.Output)
+				}
+			}
+		})
+	}
+}

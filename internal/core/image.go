@@ -35,11 +35,10 @@ type LoadedImage struct {
 	insts []isa.Inst
 
 	// report is the static verifier's result when WithVerify was requested
-	// (nil otherwise). certified selects the unchecked handler table for
-	// every machine booted over this image: it requires the verifier's
-	// stack-bounds certificate AND no Go-level trap hook (a cfg.Trap
-	// callback may resume a trapping instruction with machine state the
-	// static analysis never saw).
+	// (nil otherwise). certified records the verifier's stack-bounds
+	// certificate for reporting; it requires no Go-level trap hook too (a
+	// cfg.Trap callback may resume a trapping instruction with machine
+	// state the static analysis never saw).
 	report    *verify.Report
 	certified bool
 	// resetElide: the verifier's heap-effects analysis proved the program
@@ -59,10 +58,9 @@ type loadOpts struct{ verify bool }
 
 // WithVerify makes LoadImage run the static verifier over the program
 // before accepting it. A program the verifier rejects fails the load with a
-// *VerifyError carrying the full report. When the verifier additionally
-// grants the stack-bounds certificate (and no cfg.Trap hook is installed),
-// machines over this image run the certified handler table, skipping the
-// per-instruction evaluation-stack bounds checks.
+// *VerifyError carrying the full report. The report's certificates are
+// kept with the image: Certified reports the stack-bounds certificate, and
+// the heap-effects certificate enables ResetElide.
 func WithVerify() LoadOption {
 	return func(o *loadOpts) { o.verify = true }
 }
@@ -176,8 +174,11 @@ func (img *LoadedImage) Insts() []isa.Inst { return img.insts }
 // was loaded without WithVerify.
 func (img *LoadedImage) VerifyReport() *verify.Report { return img.report }
 
-// Certified reports whether machines over this image run the certified
-// handler table (verifier stack-bounds certificate held and no trap hook).
+// Certified reports whether the verifier proved this image's
+// evaluation-stack bounds: the stack-bounds certificate is held and no trap
+// hook is installed. It reports the certificate and selects nothing; every
+// image runs the same checked handler table, whose stack checks are
+// inlined compares.
 func (img *LoadedImage) Certified() bool { return img.certified }
 
 // ResetElide reports whether machines over this image take the Reset fast
@@ -228,10 +229,6 @@ func (img *LoadedImage) NewMachine() (*Machine, error) {
 		stdFSI:     img.stdFSI,
 		curFSI:     -1,
 		resetElide: img.resetElide,
-		h:          &handlers,
-	}
-	if img.certified {
-		m.h = &certHandlers
 	}
 	m.m.LoadFrom(img.boot)
 	h, err := frames.Adopt(m.m, img.heapConfig(), img.heapBoot)

@@ -91,10 +91,6 @@ type Machine struct {
 	// insts is the image's shared predecoded instruction stream, indexed
 	// by byte pc — the decode-once engine's read-only dispatch input.
 	insts []isa.Inst
-	// h is the dispatch table both Run and Step use: the checked default,
-	// or the certified table (no per-instruction stack-bounds checks) when
-	// the image carries the verifier's stack-bounds certificate.
-	h *[isa.NumOps]handlerFunc
 
 	// Processor registers.
 	pc        uint32 // absolute code byte address
@@ -491,23 +487,36 @@ func (m *Machine) freeFrame(lf mem.Addr, fsi int16, retained bool) error {
 	return m.heap.FreeKnown(lf, int(fsi))
 }
 
-// push/pop on the evaluation stack (processor registers: free).
+// The evaluation-stack faults, built once so push and pop stay under Go's
+// inlining budget. A push can fault only at depth EvalStackDepth: Start,
+// Restore and restoreTrapSave keep sp <= EvalStackDepth, and every other
+// write sets sp to 0 or goes through push and pop.
+var (
+	errPushFull = fmt.Errorf("%w: push at depth %d", ErrStack, EvalStackDepth)
+	errPopEmpty = fmt.Errorf("%w: pop of empty stack", ErrStack)
+)
+
+// push/pop on the evaluation stack (processor registers: free). One
+// unsigned compare covers both ends of the stack, and lets the compiler
+// drop its own bounds check on m.stack[i].
 
 func (m *Machine) push(v mem.Word) error {
-	if m.sp >= EvalStackDepth {
-		return fmt.Errorf("%w: push at depth %d", ErrStack, m.sp)
+	i := m.sp
+	if uint(i) >= EvalStackDepth {
+		return errPushFull
 	}
-	m.stack[m.sp] = v
-	m.sp++
+	m.stack[i] = v
+	m.sp = i + 1
 	return nil
 }
 
 func (m *Machine) pop() (mem.Word, error) {
-	if m.sp == 0 {
-		return 0, fmt.Errorf("%w: pop of empty stack", ErrStack)
+	i := m.sp - 1
+	if uint(i) >= EvalStackDepth {
+		return 0, errPopEmpty
 	}
-	m.sp--
-	return m.stack[m.sp], nil
+	m.sp = i
+	return m.stack[i], nil
 }
 
 type trapSave struct {

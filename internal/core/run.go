@@ -91,7 +91,6 @@ func (m *Machine) Run() error {
 		}
 	}
 	insts := m.insts
-	dispatch := m.dispatch()
 	ncode := uint32(len(m.code))
 	for !m.halted {
 		if m.metrics.Instructions >= limit {
@@ -126,7 +125,7 @@ func (m *Machine) Run() error {
 			m.pc = pc + uint32(in.Size)
 			m.metrics.Instructions++
 			m.cycles += CycDispatch
-			if err := dispatch[in.Op](m, in); err != nil {
+			if err := handlers[in.Op](m, in); err != nil {
 				return fmt.Errorf("%s at pc %06x: %w", m.prog.ProcName(m.pc), m.pc, err)
 			}
 		}

@@ -32,17 +32,7 @@ func (m *Machine) Step() error {
 	m.pc = pc + uint32(in.Size)
 	m.metrics.Instructions++
 	m.cycles += CycDispatch
-	return m.dispatch()[in.Op](m, in)
-}
-
-// dispatch returns the machine's handler table, defaulting to the checked
-// table for machines built before the image choice existed (tests
-// constructing Machine values directly).
-func (m *Machine) dispatch() *[isa.NumOps]handlerFunc {
-	if m.h == nil {
-		return &handlers
-	}
-	return m.h
+	return handlers[in.Op](m, in)
 }
 
 // handlerFunc executes one predecoded instruction. The program counter has
@@ -50,10 +40,10 @@ func (m *Machine) dispatch() *[isa.NumOps]handlerFunc {
 // charged when a handler runs.
 type handlerFunc func(*Machine, *isa.Inst) error
 
-// handlers is the checked dispatch table, indexed by opcode. Every
-// defined opcode has a non-nil entry (asserted by TestHandlerTableTotal);
-// undefined opcodes never reach the table because predecode marks them
-// invalid.
+// handlers is the dispatch table, indexed by opcode, that Run and Step use
+// for every image. Every defined opcode has a non-nil entry (asserted by
+// TestHandlerTableTotal); undefined opcodes never reach the table because
+// predecode marks them invalid.
 var handlers [isa.NumOps]handlerFunc
 
 func init() {
@@ -113,11 +103,6 @@ func init() {
 	one(hFreeFrame, isa.FFREE)
 	one(hTrap, isa.TRAPB)
 	one(hSetTrap, isa.STRAP)
-
-	// The certified table copies this one, so it must be built after every
-	// entry above is in place (file-level init order is not guaranteed to
-	// favour cert.go).
-	initCertHandlers()
 }
 
 func hNoop(m *Machine, _ *isa.Inst) error { return nil }

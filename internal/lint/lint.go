@@ -8,8 +8,8 @@
 //     and the entry's Name string matches the opcode identifier. A missing
 //     entry would give the opcode a zero Info — decode would treat it as a
 //     zero-length instruction with an empty name.
-//  2. Every opcode acquires exactly one handler in core's checked dispatch
-//     table (`handlers`). Registrations happen in init through the
+//  2. Every opcode acquires exactly one handler in core's dispatch table
+//     (`handlers`), the one table Run and Step index for every image. Registrations happen in init through the
 //     set(f, lo, hi) / one(f, op) helpers and direct handlers[isa.X] = f
 //     assignments; the pass simulates them against the opcode numbering
 //     recovered from the isa const block. An uncovered opcode would be a
@@ -31,10 +31,6 @@
 //
 // Invariant numbers are stable; 4 (the superinstruction tables) was
 // retired with them.
-//
-// The certified table (cert.go) is exempt by construction: it is a copy of
-// `handlers` made after init, so invariant 2 covers it transitively, and
-// its handlers are checked by invariant 3 like any other core function.
 package lint
 
 import (

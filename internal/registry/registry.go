@@ -43,8 +43,8 @@ type Config struct {
 	// serves one machine configuration, like one fpcd process).
 	Machine fpc.Config
 	// Verify gates admission on the link-time verifier: rejected programs
-	// are never cached and cost zero machine steps. Certified programs get
-	// the check-free dispatch table, shared by every tenant.
+	// are never cached and cost zero machine steps. An admitted program's
+	// image carries the verifier's certificates, shared by every tenant.
 	Verify bool
 	// MemoryBudget bounds resident image bytes (image footprint plus warm
 	// machines), LRU-evicting beyond it. <=0 selects 256 MiB. A pinned or
@@ -88,7 +88,7 @@ type Stats struct {
 	VerifyRejected uint64 // loads the verifier refused (never cached)
 	// Admission split of the verified loads that were cached: Certified
 	// counts images holding at least one verifier certificate, split in
-	// CertifiedByCert by which — "stack_bounds" (check-free dispatch
+	// CertifiedByCert by which — "stack_bounds" (proved stack bounds
 	// only), "heap_effects" (bounded writes / Reset elision only) or
 	// "both". Uncertified counts images admitted with neither
 	// certificate. UncertifiedByReason keys every denied certificate's
@@ -138,8 +138,8 @@ func (e *Entry) Image() *fpc.LoadedImage { return e.img }
 // Pool returns the entry's warm machine pool.
 func (e *Entry) Pool() *fpc.Pool { return e.pool }
 
-// Certified reports whether runs over this entry use the verifier's
-// check-free dispatch table.
+// Certified reports whether the verifier proved this entry's
+// evaluation-stack bounds (LoadedImage.Certified).
 func (e *Entry) Certified() bool { return e.img.Certified() }
 
 // Bytes returns the memory the entry is accounted at.

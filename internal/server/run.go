@@ -51,11 +51,11 @@ type RunResponse struct {
 	// Cached reports whether this request hit the registry (zero
 	// verification, linking or predecode work was done for it).
 	Cached bool `json:"cached"`
-	// Certified reports whether the run used the verifier-certified fast
-	// dispatch table (stack-bounds checks elided). When a verified image
-	// was admitted but denied the certificate, CertReasons carries the
-	// verifier's distinct reason codes — why this program fell back to the
-	// checked table.
+	// Certified reports whether the verifier proved the program's
+	// evaluation-stack bounds (the stack-bounds certificate); every image
+	// runs the same dispatch table either way. When a verified image was
+	// admitted but denied the certificate, CertReasons carries the
+	// verifier's distinct reason codes.
 	Certified   bool     `json:"certified,omitempty"`
 	CertReasons []string `json:"certReasons,omitempty"`
 	Error       string   `json:"error,omitempty"`

@@ -58,8 +58,8 @@ func runPost(t *testing.T, ts *httptest.Server, req server.RunRequest) (int, ser
 	return resp.StatusCode, rr
 }
 
-// A healthy submitted program runs to completion, and — being certifiable
-// — on the certified dispatch table.
+// A healthy submitted program runs to completion, and the response reports
+// its stack-bounds certificate.
 func TestRunEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{Verify: true})
 	status, rr := runPost(t, ts, server.RunRequest{

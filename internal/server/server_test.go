@@ -46,8 +46,14 @@ proc main(n) { return fib(n); }
 
 func newTestServer(t *testing.T, cfg server.Config) (*server.Server, *httptest.Server) {
 	t.Helper()
-	mcfg := fpc.ConfigFastCalls
-	prog, err := fpc.Build(map[string]string{"srv": srvSrc}, "srv", "main", fpc.DefaultLinkOptions(mcfg))
+	return newServerOver(t, srvSrc, fpc.ConfigFastCalls, cfg)
+}
+
+// newServerOver serves module srv of src from a pool under the machine
+// configuration mcfg.
+func newServerOver(t *testing.T, src string, mcfg fpc.Config, cfg server.Config) (*server.Server, *httptest.Server) {
+	t.Helper()
+	prog, err := fpc.Build(map[string]string{"srv": src}, "srv", "main", fpc.DefaultLinkOptions(mcfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,24 +339,28 @@ func TestServerSaturation(t *testing.T) {
 // TestServerDrain: a drain lets the in-flight call finish with its
 // correct result while new calls and health checks get 503.
 func TestServerDrain(t *testing.T) {
-	s, ts := newTestServer(t, server.Config{
-		MaxInFlight:    2,
-		DefaultBudget:  50_000_000,
-		RequestTimeout: 30 * time.Second,
-	})
+	// The held call executes trap(1) once, and the pool's trap hook blocks
+	// until the test releases it: the call stays in flight for as long as
+	// the test needs without spending CPU time, however slow the machine.
+	release := make(chan struct{})
+	var once sync.Once
+	releaseHeld := func() { once.Do(func() { close(release) }) }
+	mcfg := fpc.ConfigFastCalls
+	mcfg.Trap = func(*fpc.Machine, int) error {
+		<-release
+		return nil // TRAPB then pushes its default result, 0
+	}
+	s, ts := newServerOver(t, srvSrc+"proc hold(n) { return trap(1) + n; }\n", mcfg, server.Config{MaxInFlight: 2})
+	t.Cleanup(releaseHeld) // runs before ts.Close, which waits for the held call
 
-	// The spin count is sized so the call stays in flight for hundreds of
-	// milliseconds even on a fast engine — long enough for the metric
-	// polls below to observe it — while staying inside the step budget.
-	spinWant := uint16((20000 * 55) & 0x7FFF)
 	type result struct {
 		status int
 		cr     server.CallResponse
 	}
-	slow := make(chan result, 1)
+	held := make(chan result, 1)
 	go func() {
-		st, cr := call(t, ts, server.CallRequest{Module: "srv", Proc: "spin", Args: []int64{20000}})
-		slow <- result{st, cr}
+		st, cr := call(t, ts, server.CallRequest{Module: "srv", Proc: "hold", Args: []int64{7}})
+		held <- result{st, cr}
 	}()
 	waitMetric(t, ts, "fpc_server_in_flight", 1)
 
@@ -375,10 +385,11 @@ func TestServerDrain(t *testing.T) {
 		t.Fatalf("healthz during drain = %d, want 503", resp.StatusCode)
 	}
 
-	// The in-flight call still finishes, correctly.
-	r := <-slow
-	if r.status != http.StatusOK || len(r.cr.Results) != 1 || r.cr.Results[0] != spinWant {
-		t.Fatalf("drained call: status %d results %v, want 200 [%d]", r.status, r.cr.Results, spinWant)
+	// The in-flight call still finishes, correctly, once released.
+	releaseHeld()
+	r := <-held
+	if r.status != http.StatusOK || len(r.cr.Results) != 1 || r.cr.Results[0] != 7 {
+		t.Fatalf("drained call: status %d results %v, want 200 [7]", r.status, r.cr.Results)
 	}
 	if err := <-drained; err != nil {
 		t.Fatalf("drain: %v", err)

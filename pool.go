@@ -28,14 +28,13 @@ type Pool struct {
 
 // NewPool loads prog once under cfg and returns a pool of machines over
 // the shared image. The load is opportunistically verified: when the
-// static verifier grants the stack-bounds certificate the pool serves the
-// certified image — the handler table without per-instruction stack-bounds
-// checks — which is byte-identical in behaviour to the checked one (a continuously
-// fuzzed invariant, see internal/difffuzz). A program the verifier rejects
-// or cannot certify is served from the plain checked image exactly as
-// before; NewPool never rejects a program LoadImage accepts.
+// static verifier admits the program the pool serves the verified image,
+// which carries the verifier's report and certificates (the heap-effects
+// certificate lets Reset skip its memory restore). A program the verifier
+// rejects is loaded unverified; NewPool never rejects a program LoadImage
+// accepts.
 func NewPool(prog *Program, cfg Config) (*Pool, error) {
-	if img, err := core.LoadImage(prog, cfg, core.WithVerify()); err == nil && img.Certified() {
+	if img, err := core.LoadImage(prog, cfg, core.WithVerify()); err == nil {
 		return NewPoolFromImage(img), nil
 	}
 	img, err := LoadImage(prog, cfg)
