@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build vet test race bench bench-json bench-serve-json check serve-smoke sched-smoke fuzz-smoke verify-corpus
+.PHONY: build vet test race bench check serve-smoke sched-smoke fuzz-smoke verify-corpus
 
 build:
 	$(GO) build ./...
@@ -23,24 +23,6 @@ race:
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' .
 
-# Record the dispatch-engine and pool-throughput benchmarks into
-# BENCH_dispatch.json: the "current" block is replaced with fresh
-# measurements (with -benchmem, so entries carry B/op and allocs/op); the
-# committed "baseline" block (the decode-per-step engine before the
-# decode-once refactor) is preserved for comparison.
-bench-json:
-	$(GO) test -run '^$$' -bench 'BenchmarkDispatch|BenchmarkPoolThroughput$$|BenchmarkInterpreterDispatch|BenchmarkResetCertified' -benchmem -count 3 . \
-		| $(GO) run ./scripts/benchjson -out BENCH_dispatch.json
-
-# Record the registry serving benchmarks into BENCH_serve.json: the cache
-# hit path (zero verify/link/predecode work) against the cold submit path
-# that pays the full load pipeline per program, and the continuation
-# park/resume cycle (with and without the wire codec) against the cold
-# machine boot a resume avoids.
-bench-serve-json:
-	$(GO) test -run '^$$' -bench 'BenchmarkRegistry|BenchmarkColdSubmit|BenchmarkSnapshotRestore|BenchmarkSessionRoundTrip|BenchmarkColdBoot' -count 3 ./internal/registry \
-		| $(GO) run ./scripts/benchjson -out BENCH_serve.json
-
 # End-to-end smoke of the serving subsystem: start fpcd, drive it with
 # fpcload, scrape /metrics, assert non-zero pooled runs, drain on SIGTERM.
 serve-smoke:
@@ -56,21 +38,25 @@ sched-smoke:
 # Differential fuzzing smoke: a deterministic 2000-seed sweep through the
 # four-way differential oracle (cmd/fpcfuzz), then a short coverage-guided
 # shift on each native fuzz target. FuzzVerify feeds the verifier mutated
-# code bytes and data words. Longer campaigns: raise -n / -fuzztime.
+# code bytes and data words; FuzzBuild feeds arbitrary bytes as module
+# source through the build path and a verifying registry. Longer
+# campaigns: raise -n / -fuzztime.
 fuzz-smoke:
 	$(GO) run ./cmd/fpcfuzz -n 2000
 	$(GO) test -fuzz=FuzzDifferential -fuzztime=30s -run '^$$' ./internal/difffuzz
 	$(GO) test -fuzz=FuzzPoolReuse -fuzztime=30s -run '^$$' ./internal/difffuzz
 	$(GO) test -fuzz=FuzzParkResume -fuzztime=30s -run '^$$' ./internal/difffuzz
 	$(GO) test -fuzz=FuzzVerify -fuzztime=30s -run '^$$' ./internal/difffuzz
+	$(GO) test -fuzz=FuzzBuild -fuzztime=30s -run '^$$' ./internal/difffuzz
 
 # Verifier soundness smoke: sweep seeds 0..19999 through the differential
 # oracle, which also checks that (a) every generated program is admitted
 # by the static verifier under both linkage policies, (b) no run of a
-# program with certified stack bounds raises a stack fault and (c) an
-# elided Reset is byte-identical to the full restore. certfrac then
-# re-measures the certified fraction over seeds 0..9999 and fails the run
-# if it regressed below the fraction recorded in BENCH_dispatch.json.
+# program with certified stack bounds raises a stack fault and (c) Reset
+# returns a used machine to its boot memory and allocator state. certfrac
+# then re-measures the certified fraction over seeds 0..9999 and fails the
+# run if it regressed below the fraction recorded in
+# scripts/certfrac/ratchet.json.
 verify-corpus:
 	$(GO) run ./cmd/fpcfuzz -n 20000
 	$(GO) run ./scripts/certfrac -n 10000 -check

@@ -158,49 +158,6 @@ func buildFib(b *testing.B, early bool) *fpc.Program {
 	return prog
 }
 
-// BenchmarkResetCertified measures what the heap-effects certificate buys
-// at reuse time: the same shallow (bank-resident, write-free at run time)
-// fib workload in a call-Reset serving loop on the same configuration,
-// once over an unverified image whose Reset always restores the dirty
-// window and rewinds the allocator, and once over a verified image whose
-// write-free certificate elides the restore when the window confirms the
-// run wrote nothing. The resetns/op metric isolates the Reset itself.
-func BenchmarkResetCertified(b *testing.B) {
-	prog := buildFib(b, true)
-	for _, mode := range []struct {
-		name string
-		load func() (*fpc.LoadedImage, error)
-	}{
-		{"full", func() (*fpc.LoadedImage, error) { return fpc.LoadImage(prog, fpc.ConfigFastCalls) }},
-		{"elided", func() (*fpc.LoadedImage, error) { return fpc.LoadImageVerified(prog, fpc.ConfigFastCalls) }},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			img, err := mode.load()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if mode.name == "elided" && !img.ResetElide() {
-				b.Fatal("fib image should earn the write-free certificate")
-			}
-			m, err := img.NewMachine()
-			if err != nil {
-				b.Fatal(err)
-			}
-			// One run primes the machine the way a serving loop would; the
-			// timed loop then measures the Reset path itself — the fib(4)
-			// run is bank-resident, so the window is clean and the elided
-			// image skips the restore where the full image pays it.
-			if _, err := m.Call(img.Entry(), 4); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m.Reset()
-			}
-		})
-	}
-}
-
 // BenchmarkPoolThroughput hammers one machine pool — one shared
 // LoadedImage — with b.RunParallel, so calls/sec scales with GOMAXPROCS.
 // This is the serving-layer counterpart of the per-call microbenchmarks.

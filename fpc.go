@@ -169,9 +169,8 @@ func Verify(prog *Program) *VerifyReport {
 
 // LoadImageVerified is LoadImage behind the verifier: a rejected program
 // fails with a *VerifyError (inspect its Report), and an admitted program's
-// image keeps the report and its certificates (LoadedImage.Certified
-// reports the stack-bounds certificate; the heap-effects certificate lets
-// Reset skip its memory restore).
+// image keeps the report (LoadedImage.Certified reports its stack-bounds
+// certificate).
 func LoadImageVerified(prog *Program, cfg Config) (*LoadedImage, error) {
 	return core.LoadImage(prog, cfg, core.WithVerify())
 }

@@ -3,6 +3,7 @@ package fpc_test
 import (
 	"fmt"
 	"log"
+	"strings"
 	"testing"
 
 	fpc "repro"
@@ -33,6 +34,24 @@ func TestBuildAndRunFacade(t *testing.T) {
 		}
 		if len(res) != 1 || res[0] != 144 {
 			t.Fatalf("fib(12) = %v", res)
+		}
+	}
+}
+
+// TestBuildRejectsOversizedSource: the frontend refuses a source past its
+// size cap before lexing it, naming the module and both sizes. The source
+// is a 400 KB main returning 1+1+...+1 over 200,000 terms: it nests one
+// tree level per operator yet stays far under the nesting cap, so only the
+// size cap stops it.
+func TestBuildRejectsOversizedSource(t *testing.T) {
+	src := "module chain;\nproc main() { return 1" + strings.Repeat("+1", 199_999) + "; }\n"
+	_, err := fpc.Build(map[string]string{"chain": src}, "chain", "main", fpc.LinkOptions{})
+	if err == nil {
+		t.Fatal("a 400 KB source built")
+	}
+	for _, want := range []string{"chain", fmt.Sprint(len(src)), "65536"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %s", err, want)
 		}
 	}
 }

@@ -41,14 +41,6 @@ type LoadedImage struct {
 	// state the static analysis never saw).
 	report    *verify.Report
 	certified bool
-	// resetElide: the verifier's heap-effects analysis proved the program
-	// write-free (no globals, no record stores, no unplaceable writes), so
-	// Machine.Reset may skip the memory restore and allocator rewind when
-	// the dirty window confirms the run never wrote a data word. The static
-	// certificate makes the empty window the common case; the dynamic check
-	// keeps the elision unconditionally sound (a Go trap hook, or a config
-	// whose frame traffic lands in storage, just falls back to the copy).
-	resetElide bool
 }
 
 // LoadOption configures LoadImage.
@@ -58,9 +50,8 @@ type loadOpts struct{ verify bool }
 
 // WithVerify makes LoadImage run the static verifier over the program
 // before accepting it. A program the verifier rejects fails the load with a
-// *VerifyError carrying the full report. The report's certificates are
-// kept with the image: Certified reports the stack-bounds certificate, and
-// the heap-effects certificate enables ResetElide.
+// *VerifyError carrying the full report. The report is kept with the
+// image, and Certified reports its stack-bounds certificate.
 func WithVerify() LoadOption {
 	return func(o *loadOpts) { o.verify = true }
 }
@@ -112,7 +103,6 @@ func LoadImage(prog *image.Program, cfg Config, opts ...LoadOption) (*LoadedImag
 		}
 		img.report = rep
 		img.certified = rep.CertStackBounds && cfg.Trap == nil
-		img.resetElide = rep.CertHeapEffects && rep.WriteFree
 	}
 	insts, err := isa.Predecode(prog.Code)
 	if err != nil {
@@ -181,11 +171,11 @@ func (img *LoadedImage) VerifyReport() *verify.Report { return img.report }
 // inlined compares.
 func (img *LoadedImage) Certified() bool { return img.certified }
 
-// ResetElide reports whether machines over this image take the Reset fast
-// path: the heap-effects certificate proved the program write-free, so a
-// run that confirms an empty dirty window skips the memory restore and
-// allocator rewind entirely.
-func (img *LoadedImage) ResetElide() bool { return img.resetElide }
+// ResetElide reports false for every image: Machine.Reset has one path.
+//
+// Deprecated: Reset always copies back the dirty window and restores the
+// allocator registers; nothing is elided.
+func (img *LoadedImage) ResetElide() bool { return false }
 
 // MemoryFootprint reports the bytes a resident LoadedImage pins: the boot
 // snapshot of the main data space, the predecoded instruction stream, the
@@ -217,18 +207,17 @@ func (img *LoadedImage) MachineFootprint() int64 {
 // memcpy plus cheap register allocation, no linking or loading.
 func (img *LoadedImage) NewMachine() (*Machine, error) {
 	m := &Machine{
-		cfg:        img.cfg,
-		img:        img,
-		prog:       img.prog,
-		m:          mem.New(),
-		code:       img.prog.Code,
-		insts:      img.insts,
-		rs:         ifu.New(img.cfg.ReturnStackDepth),
-		banks:      regbank.New(img.cfg.RegBanks, img.cfg.BankWords),
-		stackBank:  -1,
-		stdFSI:     img.stdFSI,
-		curFSI:     -1,
-		resetElide: img.resetElide,
+		cfg:       img.cfg,
+		img:       img,
+		prog:      img.prog,
+		m:         mem.New(),
+		code:      img.prog.Code,
+		insts:     img.insts,
+		rs:        ifu.New(img.cfg.ReturnStackDepth),
+		banks:     regbank.New(img.cfg.RegBanks, img.cfg.BankWords),
+		stackBank: -1,
+		stdFSI:    img.stdFSI,
+		curFSI:    -1,
 	}
 	m.m.LoadFrom(img.boot)
 	h, err := frames.Adopt(m.m, img.heapConfig(), img.heapBoot)

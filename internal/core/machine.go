@@ -124,11 +124,6 @@ type Machine struct {
 	freeFrames []mem.Addr
 	stdFSI     int // size class of the standard frame; -1 when disabled
 
-	// resetElide mirrors the image's flag: the verifier proved the program
-	// write-free, so Reset may skip the memory restore when the dirty
-	// window confirms the run wrote nothing.
-	resetElide bool
-
 	halted  bool
 	cycles  uint64 // non-memory cycles; memory cycles derive from reference counts
 	metrics Metrics
@@ -167,22 +162,14 @@ func (m *Machine) Image() *LoadedImage { return m.img }
 // Reset restores the machine to its boot state — the instant its image's
 // snapshot was taken — without re-compiling, re-linking or re-loading.
 // Only the store's dirty window is copied back, so a reset after a short
-// run is far cheaper than booting a fresh machine; when the image carries
-// the verifier's write-free heap-effects certificate and the dirty window
-// confirms the run wrote no data word, even that copy (and the allocator
-// rewind behind it) is elided. Metrics, output and all processor registers
-// are cleared; Metrics is emptied in place, keeping its histograms' storage.
+// run is far cheaper than booting a fresh machine, and after a run that
+// wrote no data word the copy is empty. Every image takes this one path:
+// the allocator registers are restored unconditionally. Metrics, output
+// and all processor registers are cleared; Metrics is emptied in place,
+// keeping its histograms' storage.
 func (m *Machine) Reset() {
-	if m.resetElide && m.m.DirtyWords() == 0 {
-		// Write-free run over a write-free-certified image: the store still
-		// equals the boot snapshot and every frames.Heap mutation writes a
-		// data word, so the allocator registers are boot state too. Only
-		// the tracking counters need clearing.
-		m.m.ResetTracking()
-	} else {
-		m.m.RestoreFrom(m.img.boot)
-		m.heap.Restore(m.img.heapBoot)
-	}
+	m.m.RestoreFrom(m.img.boot)
+	m.heap.Restore(m.img.heapBoot)
 	m.freeFrames = append(m.freeFrames[:0], m.img.bootFree...)
 	m.rs.Reset()
 	m.banks.Reset()

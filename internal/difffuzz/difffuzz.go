@@ -6,8 +6,9 @@
 // the plain four-way differential, a battery of metamorphic invariants
 // checks the serving-layer machinery the paper's claims now rest on:
 //
-//   - a Reset-reused machine is byte-identical to a fresh boot (results,
-//     output and every metrics counter);
+//   - a Reset-reused machine is byte-identical to a fresh boot: right
+//     after Reset, all 64K data words and the allocator registers; after
+//     the re-run, results, output and every metrics counter;
 //   - a run budget-cut at N instructions stops at exactly N, and the same
 //     machine Reset and re-run from scratch reproduces the uncut run;
 //   - a huge (near-overflow) budget never cuts a healthy run;
@@ -28,9 +29,7 @@
 //     results, output, halt state and the merge of per-segment metrics;
 //   - a run over a certified image (the verifier's stack-bounds
 //     certificate) never raises the evaluation-stack fault the
-//     certificate excludes, on any configuration;
-//   - an elided Reset (the heap-effects certificate) is byte-identical to
-//     the full restore, and the static dirty bound holds.
+//     certificate excludes, on any configuration.
 //
 // The paper asserts (§6, §8) that the optimized implementations "behave
 // identically — only space and speed change"; this package turns that
@@ -75,7 +74,6 @@ const (
 	KindVerify       FailKind = "verify"       // static verifier rejects (or panics on) compiler output
 	KindCertify      FailKind = "certify"      // a certified run raises the stack fault its certificate excludes
 	KindParkResume   FailKind = "parkresume"   // park/resume chain not byte-identical to uninterrupted
-	KindResetElide   FailKind = "resetelide"   // elided Reset not byte-identical to a full Reset / dirty bound violated
 )
 
 // Failure is one oracle violation.
@@ -214,14 +212,6 @@ func Check(p *workload.Program) error {
 		return err
 	}
 
-	// Phase 2b: the Reset-elision oracle — a verified image's Reset (which
-	// may skip the memory restore on the heap-effects certificate) must be
-	// byte-identical to the full restore, and the static dirty bound must
-	// hold on the wire.
-	if err := checkReset(p); err != nil {
-		return err
-	}
-
 	// Phase 3: metamorphic invariants on each configuration under its
 	// default (serving) linkage, including the park/resume chain (snapshot
 	// at thirds, codec round trip, restore on a fresh machine).
@@ -292,128 +282,6 @@ func checkCertifiedRun(name string, early bool, img *core.LoadedImage, p *worklo
 	}()
 	if _, _, err := runFresh(img, p); errors.Is(err, core.ErrStack) {
 		return failf(KindCertify, "%s early=%v: certified run faulted: %v", name, early, err)
-	}
-	return nil
-}
-
-// checkReset is the Reset-elision oracle. A verified image may take the
-// cheap Reset path — skip the memory restore and allocator rewind — when
-// the heap-effects certificate proved the program write-free and the
-// dirty window confirms it. Three claims are continuously fuzzed, under
-// both linkage policies on every configuration:
-//
-//  1. The static dirty bound: after a run, the words of the module-globals
-//     window [GlobalsBase, HeapBase) that differ from the boot image
-//     number at most Report.MaxDirtyWords (when the bound is finite).
-//  2. Reset restores the boot image exactly — all 64K words byte-identical
-//     to a freshly booted machine — whether or not the restore was elided.
-//  3. A run-Reset-run chain on the verified image reproduces a fresh boot
-//     byte-identically (results, output, halt state, every metrics
-//     counter), and agrees with the same chain over an unverified image
-//     whose Reset always pays the full restore.
-func checkReset(p *workload.Program) error {
-	for _, early := range []bool{false, true} {
-		prog, _, err := p.Build(linker.Options{EarlyBind: early})
-		if err != nil {
-			return failf(KindBuild, "early=%v: %v", early, err)
-		}
-		rep, err := safeVerify(prog)
-		if err != nil {
-			return err
-		}
-		if !rep.Admitted() {
-			// checkVerify already reports the rejection.
-			return nil
-		}
-		for _, c := range configs {
-			cfg := c.cfg
-			cfg.HeapCheck = true
-			full, err := core.LoadImage(prog, cfg)
-			if err != nil {
-				return failf(KindRun, "%s early=%v: load: %v", c.name, early, err)
-			}
-			elide, err := core.LoadImage(prog, cfg, core.WithVerify())
-			if err != nil {
-				return failf(KindRun, "%s early=%v: verified load: %v", c.name, early, err)
-			}
-			if want := rep.CertHeapEffects && rep.WriteFree; elide.ResetElide() != want {
-				return failf(KindResetElide, "%s early=%v: image ResetElide %v, certificate says %v",
-					c.name, early, elide.ResetElide(), want)
-			}
-			boot, err := elide.NewMachine()
-			if err != nil {
-				return failf(KindRun, "%s early=%v: %v", c.name, early, err)
-			}
-			bootMem := boot.Mem().PeekRange(0, mem.Size)
-
-			mRef, recRef, err := runFresh(elide, p)
-			if err != nil {
-				return failf(KindRun, "%s early=%v: %v", c.name, early, err)
-			}
-
-			// Run A on the verified image; check the static dirty bound
-			// against the boot image before Reset.
-			m, _, err := runFresh(elide, p)
-			if err != nil {
-				return failf(KindRun, "%s early=%v: %v", c.name, early, err)
-			}
-			if rep.MaxDirtyWords >= 0 {
-				dirty := 0
-				for a := int(image.GlobalsBase); a < int(prog.HeapBase); a++ {
-					if m.Mem().Peek(mem.Addr(a)) != bootMem[a] {
-						dirty++
-					}
-				}
-				if dirty > rep.MaxDirtyWords {
-					return failf(KindResetElide, "%s early=%v: run dirtied %d global words, static bound %d",
-						c.name, early, dirty, rep.MaxDirtyWords)
-				}
-			}
-			m.Reset()
-			if got := m.Mem().PeekRange(0, mem.Size); !wordsEqual(got, bootMem) {
-				for a := range got {
-					if got[a] != bootMem[a] {
-						return failf(KindResetElide, "%s early=%v: word %04x = %04x after Reset, boot image %04x",
-							c.name, early, a, got[a], bootMem[a])
-					}
-				}
-			}
-
-			// Run B on the reused machine: byte-identical to the fresh boot.
-			res, err := m.Call(elide.Entry(), p.Args...)
-			if err != nil {
-				return failf(KindResetElide, "%s early=%v: reused run failed: %v", c.name, early, err)
-			}
-			reused := record{results: res, output: append([]mem.Word(nil), m.Output...)}
-			if !reused.equal(recRef) {
-				return failf(KindResetElide, "%s early=%v: reused %v/%v, fresh %v/%v",
-					c.name, early, reused.results, reused.output, recRef.results, recRef.output)
-			}
-			if !reflect.DeepEqual(m.Metrics(), mRef.Metrics()) {
-				return failf(KindResetElide, "%s early=%v: reused metrics diverge from fresh:\nreused %+v\nfresh  %+v",
-					c.name, early, m.Metrics(), mRef.Metrics())
-			}
-			if err := m.Heap().CheckInvariants(); err != nil {
-				return failf(KindInvariant, "%s early=%v: after reuse: %v", c.name, early, err)
-			}
-
-			// The same chain over the unverified image (full restore
-			// always) must agree.
-			mf, _, err := runFresh(full, p)
-			if err != nil {
-				return failf(KindRun, "%s early=%v: %v", c.name, early, err)
-			}
-			mf.Reset()
-			resF, err := mf.Call(full.Entry(), p.Args...)
-			if err != nil {
-				return failf(KindResetElide, "%s early=%v: full-reset reused run failed: %v", c.name, early, err)
-			}
-			fullRec := record{results: resF, output: append([]mem.Word(nil), mf.Output...)}
-			if !fullRec.equal(reused) {
-				return failf(KindResetElide, "%s early=%v: elided-reset run %v/%v, full-reset run %v/%v",
-					c.name, early, reused.results, reused.output, fullRec.results, fullRec.output)
-			}
-		}
 	}
 	return nil
 }
@@ -551,13 +419,28 @@ func checkMetamorphic(p *workload.Program, name string, cfg core.Config, ref rec
 			name, stepped.Metrics(), freshMet)
 	}
 
-	// Reset reuse: dirty the machine, Reset, re-run — byte-identical to
-	// the fresh boot in results, output and every metrics counter.
+	// Reset reuse: dirty the machine and Reset it — every data word and
+	// the allocator registers back to a fresh boot's — then re-run,
+	// byte-identical to the fresh boot in results, output and every
+	// metrics counter.
 	reused, _, err := runFresh(img, p)
 	if err != nil {
 		return failf(KindRun, "%s (pre-reuse): %v", name, err)
 	}
+	boot, err := img.NewMachine()
+	if err != nil {
+		return failf(KindRun, "%s: %v", name, err)
+	}
 	reused.Reset()
+	got, want := reused.Mem().PeekRange(0, mem.Size), boot.Mem().PeekRange(0, mem.Size)
+	for a := range got {
+		if got[a] != want[a] {
+			return failf(KindReset, "%s: word %04x = %04x after Reset, boot image %04x", name, a, got[a], want[a])
+		}
+	}
+	if hs, hb := reused.Heap().State(), boot.Heap().State(); !reflect.DeepEqual(hs, hb) {
+		return failf(KindReset, "%s: allocator after Reset %+v, boot %+v", name, hs, hb)
+	}
 	res, err := reused.Call(img.Entry(), p.Args...)
 	if err != nil {
 		return failf(KindReset, "%s: reused run failed: %v", name, err)

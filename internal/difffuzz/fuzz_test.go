@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/image"
 	"repro/internal/linker"
 	"repro/internal/mem"
+	"repro/internal/registry"
 	"repro/internal/workload"
 )
 
@@ -189,6 +191,36 @@ func FuzzVerify(f *testing.F) {
 		if err := checkMutant(int64(seed%400), early, muts); err != nil {
 			t.Fatal(err)
 		}
+	})
+}
+
+// FuzzBuild feeds arbitrary bytes as one module's source, with a
+// "module.proc" entry name as /run takes it, through the frontend, the
+// linker, the verifier and a registry submit. Errors are fine; a panic
+// fails the target. The registry keeps at most a few images, so a long
+// campaign's memory stays flat. Seeds are the corpus programs' entry
+// modules and a few generated programs.
+//
+//	go test -fuzz=FuzzBuild ./internal/difffuzz -fuzztime=30s
+func FuzzBuild(f *testing.F) {
+	progs := workload.Corpus()
+	for seed := int64(0); seed < 4; seed++ {
+		progs = append(progs, workload.RandomProgram(seed))
+	}
+	for _, p := range progs {
+		f.Add(p.Sources[p.Module], p.Module+"."+p.Proc)
+	}
+	reg := registry.New(registry.Config{Machine: fpc.ConfigFastCalls, Verify: true, MaxImages: 4})
+	f.Fuzz(func(t *testing.T, src, entry string) {
+		mod, proc, ok := strings.Cut(entry, ".")
+		if !ok {
+			return
+		}
+		prog, err := fpc.Build(map[string]string{mod: src}, mod, proc, fpc.LinkOptions{})
+		if err != nil {
+			return
+		}
+		reg.Submit(prog)
 	})
 }
 

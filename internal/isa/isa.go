@@ -193,9 +193,6 @@ type Info struct {
 	Name    string
 	Operand OperandKind
 	Class   Class
-	// Heap is the instruction's MDS data-memory effect class (none, read,
-	// write, alloc) — what the heap-effects analysis sums per procedure.
-	Heap HeapEffect
 	// Pops and Pushes are the evaluation-stack effect; VarEffect (-1)
 	// marks an effect that depends on machine state.
 	Pops, Pushes int8

@@ -52,36 +52,6 @@ func (c Class) String() string {
 	return "?"
 }
 
-// HeapEffect classifies an opcode's MDS data-memory effect — the raw
-// material of the verifier's heap write-set analysis. Frame linkage an
-// instruction performs as part of control transfer (call frames, AV
-// free-list maintenance) counts: RET and the calls are allocators/writers
-// of the frame arena even though they never take a data address.
-type HeapEffect byte
-
-// Heap-effect classes.
-const (
-	HeapNone  HeapEffect = iota // no data-memory traffic
-	HeapRead                    // reads MDS data words only
-	HeapWrite                   // writes MDS data words (or frame-arena linkage)
-	HeapAlloc                   // allocates frame-arena storage (and writes its linkage)
-)
-
-// String names the heap-effect class.
-func (h HeapEffect) String() string {
-	switch h {
-	case HeapNone:
-		return "none"
-	case HeapRead:
-		return "read"
-	case HeapWrite:
-		return "write"
-	case HeapAlloc:
-		return "alloc"
-	}
-	return "?"
-}
-
 // VarEffect marks a stack effect that depends on machine state: calls and
 // transfers consume the whole argument record, and a transfer's results
 // arrive with the resumed context.
@@ -166,49 +136,4 @@ func init() {
 	effect(1, 0, FFREE, FFREE)
 	effect(VarEffect, VarEffect, TRAPB, TRAPB) // may transfer to a handler context
 	effect(1, 0, STRAP, STRAP)
-
-	// The heap-effect column. Every opcode must be covered exactly once;
-	// fpclint cross-checks the ranges below against the opcode block, and
-	// the covered() sweep catches a gap at process start.
-	var heapSet [NumOps]bool
-	heap := func(h HeapEffect, lo, hi Op) {
-		for op := lo; op <= hi; op++ {
-			if heapSet[op] {
-				panic("isa: duplicate heap-effect class for " + infos[op].Name)
-			}
-			heapSet[op] = true
-			infos[op].Heap = h
-		}
-	}
-	heap(HeapNone, NOOP, OUT) // OUT appends to the Go-side output record
-	heap(HeapRead, LL0, LL7)
-	heap(HeapWrite, SL0, SL7)
-	heap(HeapRead, LLB, LLB)
-	heap(HeapWrite, SLB, SLB)
-	heap(HeapNone, LAB, LAB) // computes an address, touches nothing
-	heap(HeapRead, LG0, LGB)
-	heap(HeapWrite, SGB, SGB)
-	heap(HeapNone, LIN1, LIW)
-	heap(HeapNone, ADD, SHR)
-	heap(HeapNone, DUP, EXCH)
-	heap(HeapRead, LDIND, LDIND)
-	heap(HeapWrite, STIND, STIND)
-	heap(HeapRead, RFB, RFB)
-	heap(HeapWrite, WFB, WFB)
-	heap(HeapNone, JB, JGEB)
-	heap(HeapAlloc, EFC0, SDCALL) // calls allocate the callee frame and write its linkage
-	heap(HeapWrite, RET, XFERO)   // frees/saves frames: AV links and saved pcs
-	heap(HeapAlloc, COCREATE, COCREATE)
-	heap(HeapNone, LRC, LLF)        // machine registers only
-	heap(HeapWrite, RETAIN, RETAIN) // frame-header flag read-modify-write
-	heap(HeapWrite, FREE, FREE)
-	heap(HeapAlloc, AFB, AFB)
-	heap(HeapWrite, FFREE, FFREE)
-	heap(HeapWrite, TRAPB, TRAPB) // an armed trap saves state into the frame
-	heap(HeapNone, STRAP, STRAP)  // sets the trap-handler register
-	for op := Op(0); op < NumOps; op++ {
-		if !heapSet[op] {
-			panic("isa: no heap-effect class for " + infos[op].Name)
-		}
-	}
 }

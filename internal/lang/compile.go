@@ -17,6 +17,9 @@ func CompileAll(sources map[string]string) ([]*image.Module, error) {
 		names = append(names, n)
 	}
 	sort.Strings(names)
+	if err := checkSourceSize(names, sources); err != nil {
+		return nil, err
+	}
 	var files []*File
 	for _, n := range names {
 		f, err := Parse(n, sources[n])
@@ -63,6 +66,9 @@ func ParseAll(sources map[string]string) (*Program, error) {
 		names = append(names, n)
 	}
 	sort.Strings(names)
+	if err := checkSourceSize(names, sources); err != nil {
+		return nil, err
+	}
 	var files []*File
 	for _, n := range names {
 		f, err := Parse(n, sources[n])
@@ -72,6 +78,23 @@ func ParseAll(sources map[string]string) (*Program, error) {
 		files = append(files, f)
 	}
 	return Analyze(files)
+}
+
+// checkSourceSize rejects a submission whose sources add up to more than
+// maxSourceBytes before any of them is lexed.
+func checkSourceSize(names []string, sources map[string]string) error {
+	total, largest := 0, ""
+	for _, n := range names {
+		total += len(sources[n])
+		if largest == "" || len(sources[n]) > len(sources[largest]) {
+			largest = n
+		}
+	}
+	if total > maxSourceBytes {
+		return fmt.Errorf("lang: sources add up to %d bytes, over the %d-byte limit (largest: module %s, %d bytes)",
+			total, maxSourceBytes, largest, len(sources[largest]))
+	}
+	return nil
 }
 
 // Sig reports a procedure's (args, results) arity, for embedding tools.

@@ -7,12 +7,13 @@ import (
 	"testing"
 )
 
-// TestNestingLimit: sources nested 200,000 levels deep, 400 KB of
-// parentheses or 200 KB of unary minuses, fail fast with a located error
-// instead of recursing once per level through the whole build.
+// TestNestingLimit: sources nested 20,000 levels deep, 40 KB of
+// parentheses or 20 KB of unary minuses (both under maxSourceBytes), fail
+// fast with a located error instead of recursing once per level through
+// the whole build.
 func TestNestingLimit(t *testing.T) {
 	const prefix = "module deep; proc main() { return "
-	const n = 200_000
+	const n = 20_000
 	// The procedure body is one level and the returned expression a second,
 	// so the error falls on the first token that opens level maxNesting+1.
 	cases := []struct {
@@ -35,5 +36,33 @@ func TestNestingLimit(t *testing.T) {
 				t.Fatalf("error = %+v, want %+v", *lerr, want)
 			}
 		})
+	}
+}
+
+// TestSourceSizeLimit: a module over maxSourceBytes fails before lexing,
+// and so does a submission whose modules are each under the cap but add
+// up to more than it.
+func TestSourceSizeLimit(t *testing.T) {
+	module := func(name string, bytes int) string {
+		src := "module " + name + "; proc main() { return 0; }\n"
+		return src + strings.Repeat(" ", bytes-len(src))
+	}
+	if _, err := Parse("big", module("big", maxSourceBytes)); err != nil {
+		t.Fatalf("source at the cap: %v", err)
+	}
+	_, err := Parse("big", module("big", maxSourceBytes+1))
+	want := fmt.Sprintf("lang: module big: source is %d bytes, over the %d-byte limit", maxSourceBytes+1, maxSourceBytes)
+	if err == nil || err.Error() != want {
+		t.Fatalf("Parse over the cap: error %v, want %q", err, want)
+	}
+	half := maxSourceBytes/2 + 1
+	sources := map[string]string{"a": module("a", half), "b": module("b", half)}
+	want = fmt.Sprintf("lang: sources add up to %d bytes, over the %d-byte limit (largest: module a, %d bytes)",
+		2*half, maxSourceBytes, half)
+	if _, err := CompileAll(sources); err == nil || err.Error() != want {
+		t.Errorf("CompileAll: error %v, want %q", err, want)
+	}
+	if _, err := ParseAll(sources); err == nil || err.Error() != want {
+		t.Errorf("ParseAll: error %v, want %q", err, want)
 	}
 }

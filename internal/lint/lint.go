@@ -1,7 +1,7 @@
 // Package lint is the repo's own static-analysis pass, in the style of a
 // go/analysis analyzer but built on the standard library alone (go/ast,
 // go/parser), since the tree must build with no external modules. It
-// checks four invariants that the compiler cannot:
+// checks three invariants that the compiler cannot:
 //
 //  1. Every isa opcode (NOOP..STRAP, everything before NumOps) has exactly
 //     one entry in the isa metadata table (the `infos` composite literal),
@@ -20,17 +20,9 @@
 //     sites (Run's inner loop and Step), once each, and never inside a
 //     handler — a handler that bumped it would double-charge the step
 //     budget for its opcode.
-//  5. The heap-effect column of the isa metadata is total: every opcode is
-//     covered by exactly one heap(class, lo, hi) fill, each fill names a
-//     declared HeapEffect constant, and each range is non-empty. The
-//     verifier's write-set analysis keys on this column; an uncovered
-//     opcode would silently carry the zero class (HeapNone) and its writes
-//     would vanish from the heap-effects certificate — an unsound summary,
-//     not a crash. Engages only when the isa package declares a HeapEffect
-//     block.
 //
-// Invariant numbers are stable; 4 (the superinstruction tables) was
-// retired with them.
+// Invariant numbers are stable; 4 (the superinstruction tables) and 5
+// (the heap-effect column) were retired with what they policed.
 package lint
 
 import (
@@ -91,7 +83,7 @@ func parseDir(fset *token.FileSet, dir string) ([]*ast.File, error) {
 	return files, nil
 }
 
-// analyze runs all four checks. It is the testable core: synthetic
+// analyze runs all three checks. It is the testable core: synthetic
 // negative cases hand it small parsed files directly.
 func analyze(fset *token.FileSet, isaFiles, coreFiles []*ast.File) []Diagnostic {
 	var diags []Diagnostic
@@ -107,104 +99,9 @@ func analyze(fset *token.FileSet, isaFiles, coreFiles []*ast.File) []Diagnostic 
 	if ops != nil {
 		checkInfos(isaFiles, ops, opPos, report)
 		checkHandlers(coreFiles, ops, opPos, report)
-		if classes := heapEffectConsts(isaFiles); classes != nil {
-			checkHeapEffects(isaFiles, ops, opPos, classes, report)
-		}
 	}
 	checkRetirement(coreFiles, report)
 	return diags
-}
-
-// heapEffectConsts collects the names declared in the HeapEffect const
-// block (the classes the verifier's write-set analysis keys on). Nil when
-// the isa package declares no such block — invariant 5 then disengages.
-func heapEffectConsts(isaFiles []*ast.File) map[string]bool {
-	for _, f := range isaFiles {
-		for _, decl := range f.Decls {
-			gd, ok := decl.(*ast.GenDecl)
-			if !ok || gd.Tok != token.CONST || len(gd.Specs) == 0 {
-				continue
-			}
-			first, ok := gd.Specs[0].(*ast.ValueSpec)
-			if !ok || !isIdent(first.Type, "HeapEffect") {
-				continue
-			}
-			classes := map[string]bool{}
-			for _, spec := range gd.Specs {
-				for _, n := range spec.(*ast.ValueSpec).Names {
-					classes[n.Name] = true
-				}
-			}
-			return classes
-		}
-	}
-	return nil
-}
-
-// checkHeapEffects verifies invariant 5: the heap-effect column is filled
-// by heap(class, lo, hi) range calls in the isa metadata init, every
-// opcode is covered by exactly one fill, and every fill names a declared
-// HeapEffect class. An uncovered opcode would carry the zero class
-// (HeapNone) silently — the verifier would then treat its writes as free,
-// an unsound write-set summary rather than a crash.
-func checkHeapEffects(isaFiles []*ast.File, ops []string, opPos map[string]token.Pos, classes map[string]bool, report func(token.Pos, string, ...any)) {
-	idx := map[string]int{}
-	for i, op := range ops {
-		idx[op] = i
-	}
-	covered := make([]int, len(ops))
-	found := false
-	for _, f := range isaFiles {
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok || !isIdent(call.Fun, "heap") {
-				return true
-			}
-			found = true
-			if len(call.Args) != 3 {
-				report(call.Pos(), "heap-effect fill must be heap(class, lo, hi)")
-				return true
-			}
-			cls, ok := call.Args[0].(*ast.Ident)
-			if !ok || !classes[cls.Name] {
-				report(call.Args[0].Pos(), "heap-effect fill class is not a declared HeapEffect constant")
-				return true
-			}
-			lo, okLo := call.Args[1].(*ast.Ident)
-			hi, okHi := call.Args[2].(*ast.Ident)
-			if !okLo || !okHi {
-				report(call.Pos(), "heap-effect fill bounds must be opcode identifiers")
-				return true
-			}
-			loI, okLo := idx[lo.Name]
-			hiI, okHi := idx[hi.Name]
-			if !okLo || !okHi {
-				report(call.Pos(), "heap-effect fill bounds %s..%s are not defined opcodes", lo.Name, hi.Name)
-				return true
-			}
-			if loI > hiI {
-				report(call.Pos(), "heap-effect fill %s..%s is an empty range", lo.Name, hi.Name)
-				return true
-			}
-			for i := loI; i <= hiI; i++ {
-				covered[i]++
-			}
-			return true
-		})
-	}
-	if !found {
-		report(token.NoPos, "HeapEffect classes declared but no heap(class, lo, hi) fills found in package isa")
-		return
-	}
-	for i, op := range ops {
-		switch covered[i] {
-		case 1:
-		case 0:
-			report(opPos[op], "opcode %s has no heap-effect class (would silently default to HeapNone)", op)
-		default:
-			report(opPos[op], "opcode %s is covered by %d heap-effect fills, want exactly 1", op, covered[i])
-		}
-	}
 }
 
 // opcodeConsts recovers the opcode numbering from the isa const block: the

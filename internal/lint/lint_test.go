@@ -174,72 +174,3 @@ func TestCompoundRetireInRunRejected(t *testing.T) {
 	diags := run(t, isaSrc(goodInfos), core)
 	wantDiag(t, diags, "Run assigns to the retired-instruction counter")
 }
-
-// --- heap-effect column coverage (invariant 5) ---
-
-// heapIsaSrc is isaSrc plus a HeapEffect const block and an init that
-// runs the given heap(class, lo, hi) fills, which arms the coverage check.
-func heapIsaSrc(fills string) string {
-	return `package isa
-type Op byte
-const (
-	NOOP Op = iota
-	HALT
-	ADD
-	NumOps
-)
-type HeapEffect byte
-const (
-	HeapNone HeapEffect = iota
-	HeapWrite
-)
-type Info struct{ Name string }
-var infos = [NumOps]Info{` + goodInfos + `}
-func init() {
-	heap := func(h HeapEffect, lo, hi Op) { _, _, _ = h, lo, hi }
-` + fills + `
-}
-`
-}
-
-func TestHeapEffectsClean(t *testing.T) {
-	fills := `	heap(HeapNone, NOOP, HALT)
-	heap(HeapWrite, ADD, ADD)`
-	wantClean(t, run(t, heapIsaSrc(fills), coreSrc(goodInit, "")))
-}
-
-func TestHeapEffectsSkippedWithoutBlock(t *testing.T) {
-	// The plain isaSrc has no HeapEffect block: invariant 5 disengages and
-	// the absence of heap() fills is not a finding.
-	wantClean(t, run(t, isaSrc(goodInfos), coreSrc(goodInit, "")))
-}
-
-func TestHeapEffectsGap(t *testing.T) {
-	diags := run(t, heapIsaSrc(`	heap(HeapNone, NOOP, HALT)`), coreSrc(goodInit, ""))
-	wantDiag(t, diags, "ADD has no heap-effect class")
-}
-
-func TestHeapEffectsDuplicate(t *testing.T) {
-	fills := `	heap(HeapNone, NOOP, ADD)
-	heap(HeapWrite, HALT, HALT)`
-	diags := run(t, heapIsaSrc(fills), coreSrc(goodInit, ""))
-	wantDiag(t, diags, "HALT is covered by 2 heap-effect fills")
-}
-
-func TestHeapEffectsUnknownClass(t *testing.T) {
-	fills := `	heap(HeapBogus, NOOP, ADD)`
-	diags := run(t, heapIsaSrc(fills), coreSrc(goodInit, ""))
-	wantDiag(t, diags, "not a declared HeapEffect constant")
-}
-
-func TestHeapEffectsEmptyRange(t *testing.T) {
-	fills := `	heap(HeapNone, ADD, NOOP)
-	heap(HeapWrite, NOOP, ADD)`
-	diags := run(t, heapIsaSrc(fills), coreSrc(goodInit, ""))
-	wantDiag(t, diags, "empty range")
-}
-
-func TestHeapEffectsNoFills(t *testing.T) {
-	diags := run(t, heapIsaSrc(""), coreSrc(goodInit, ""))
-	wantDiag(t, diags, "no heap(class, lo, hi) fills")
-}

@@ -123,16 +123,6 @@ func (m *Memory) RestoreFrom(snap []Word) {
 // store is clean relative to the snapshot it was last loaded from.
 func (m *Memory) DirtyRange() (lo, hi int) { return m.lo, m.hi }
 
-// ResetTracking marks the store clean and zeroes the counters without
-// touching contents — the reset fast path for a run the verifier certified
-// write-free, once DirtyWords() confirms no data word actually changed.
-// Calling it with a non-empty dirty window desynchronizes the store from
-// its boot snapshot; the caller owns that proof.
-func (m *Memory) ResetTracking() {
-	m.stats = Stats{}
-	m.lo, m.hi = Size, 0
-}
-
 // PeekRange returns an independent copy of words [lo, hi) without charging
 // references — the raw capture a continuation snapshot needs. Returns nil
 // for an empty range.

@@ -144,7 +144,8 @@ func benchParked(b *testing.B) (parked, target *fpc.Machine) {
 // and the in-memory half of a /session boundary. Compare
 // BenchmarkColdBoot: restore must stay an order of magnitude cheaper
 // than booting the program from scratch for parking to be an admission
-// policy rather than a penalty (recorded in BENCH_serve.json).
+// policy rather than a penalty (3.9 µs against 46.8 µs when continuations
+// landed; CHANGES.md).
 func BenchmarkSnapshotRestore(b *testing.B) {
 	m, target := benchParked(b)
 	b.ReportAllocs()

@@ -44,7 +44,7 @@ type Config struct {
 	Machine fpc.Config
 	// Verify gates admission on the link-time verifier: rejected programs
 	// are never cached and cost zero machine steps. An admitted program's
-	// image carries the verifier's certificates, shared by every tenant.
+	// image carries the verifier's report, shared by every tenant.
 	Verify bool
 	// MemoryBudget bounds resident image bytes (image footprint plus warm
 	// machines), LRU-evicting beyond it. <=0 selects 256 MiB. A pinned or
@@ -87,14 +87,11 @@ type Stats struct {
 	NotFound       uint64 // lookups of hashes not resident
 	VerifyRejected uint64 // loads the verifier refused (never cached)
 	// Admission split of the verified loads that were cached: Certified
-	// counts images holding at least one verifier certificate, split in
-	// CertifiedByCert by which — "stack_bounds" (proved stack bounds
-	// only), "heap_effects" (bounded writes / Reset elision only) or
-	// "both". Uncertified counts images admitted with neither
-	// certificate. UncertifiedByReason keys every denied certificate's
-	// reason codes — a partially certified image contributes the reasons
-	// for the certificate it missed, and one image can count under
-	// several reasons.
+	// counts images holding the verifier's stack-bounds certificate, also
+	// kept as CertifiedByCert["stack_bounds"], the map's one key.
+	// Uncertified counts the images admitted without it, and
+	// UncertifiedByReason keys their CertReasons codes; one image can
+	// count under several reasons.
 	Certified           uint64
 	CertifiedByCert     map[string]uint64
 	Uncertified         uint64
@@ -326,35 +323,18 @@ func (r *Registry) submit(hash, srcKey string, build func() (*fpc.Program, error
 	ent.img = img
 	ent.pool = pool
 	if rep := img.VerifyReport(); rep != nil {
-		sb, he := rep.CertStackBounds, rep.CertHeapEffects
-		if sb || he {
+		if rep.CertStackBounds {
 			r.stats.Certified++
-			cert := "stack_bounds"
-			switch {
-			case sb && he:
-				cert = "both"
-			case he:
-				cert = "heap_effects"
-			}
 			if r.stats.CertifiedByCert == nil {
 				r.stats.CertifiedByCert = map[string]uint64{}
 			}
-			r.stats.CertifiedByCert[cert]++
+			r.stats.CertifiedByCert["stack_bounds"]++
 		} else {
 			r.stats.Uncertified++
-		}
-		if !sb || !he {
 			if r.stats.UncertifiedByReason == nil {
 				r.stats.UncertifiedByReason = map[string]uint64{}
 			}
-			var reasons []string
-			if !sb {
-				reasons = append(reasons, rep.CertReasons()...)
-			}
-			if !he {
-				reasons = append(reasons, rep.HeapCertReasons()...)
-			}
-			for _, reason := range reasons {
+			for _, reason := range rep.CertReasons() {
 				r.stats.UncertifiedByReason[reason]++
 			}
 		}

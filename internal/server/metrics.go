@@ -95,10 +95,8 @@ func (s *Server) writeMetrics(w io.Writer) {
 	counter("fpc_registry_evictions_total", "Cached images evicted (LRU memory budget, image cap, or explicit).", rs.Evictions)
 	counter("fpc_registry_not_found_total", "Hash lookups of images not resident (never submitted or evicted).", rs.NotFound)
 	counter("fpc_registry_verify_rejected_total", "Loads refused by the link-time verifier (never cached).", rs.VerifyRejected)
-	fmt.Fprintf(w, "# HELP fpc_verify_certified_total Admitted images granted verifier certificates, split by which: stack_bounds (proved evaluation-stack bounds), heap_effects (bounded writes, Reset elision), or both.\n# TYPE fpc_verify_certified_total counter\n")
-	for _, cert := range []string{"stack_bounds", "heap_effects", "both"} {
-		fmt.Fprintf(w, "fpc_verify_certified_total{cert=%q} %d\n", cert, rs.CertifiedByCert[cert])
-	}
+	fmt.Fprintf(w, "# HELP fpc_verify_certified_total Admitted images granted the verifier's stack-bounds certificate (proved evaluation-stack bounds).\n# TYPE fpc_verify_certified_total counter\n")
+	fmt.Fprintf(w, "fpc_verify_certified_total{cert=\"stack_bounds\"} %d\n", rs.CertifiedByCert["stack_bounds"])
 	fmt.Fprintf(w, "# HELP fpc_verify_uncertified_total Admitted images denied the certificate, by verifier reason code (one image may count under several reasons).\n# TYPE fpc_verify_uncertified_total counter\n")
 	if len(rs.UncertifiedByReason) == 0 {
 		fmt.Fprintf(w, "fpc_verify_uncertified_total{reason=\"none\"} 0\n")

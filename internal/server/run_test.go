@@ -184,3 +184,33 @@ func TestRunBodyCap(t *testing.T) {
 		t.Errorf("registry moved: hits %d→%d misses %d→%d", before.Hits, after.Hits, before.Misses, after.Misses)
 	}
 }
+
+// TestRunSourceCap: a /run body under the 1 MiB body cap whose module is a
+// 400 KB flat 1+1+...+1 chain is refused by the frontend's source-size cap
+// with 400, before anything reaches the registry, which sees neither a hit
+// nor a miss.
+func TestRunSourceCap(t *testing.T) {
+	s, ts := newTestServer(t, server.Config{Verify: true})
+	src := "module m;\nproc main() { return 1" + strings.Repeat("+1", 199_999) + "; }\n"
+	body, err := json.Marshal(server.RunRequest{Modules: map[string]string{"m": src}, Entry: "m.main"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := s.Registry().Stats()
+	resp, err := http.Post(ts.URL+"/run", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400", resp.StatusCode)
+	}
+	if !strings.Contains(string(msg), "limit") {
+		t.Errorf("body %q does not explain the source-size limit", msg)
+	}
+	after := s.Registry().Stats()
+	if after.Hits != before.Hits || after.Misses != before.Misses {
+		t.Errorf("registry moved: hits %d→%d misses %d→%d", before.Hits, after.Hits, before.Misses, after.Misses)
+	}
+}

@@ -108,16 +108,6 @@ const (
 	// disagrees with the linker's instance metadata. An Error for the
 	// first four; a certificate-blocking Warn for a direct-call header.
 	ReasonLinkage Reason = "linkage-mismatch"
-	// ReasonHeapEscape: a write provably lands outside run-allocated
-	// storage (module globals, the boot image): the run mutates state that
-	// survives into the next session unless Reset restores it. Blocks the
-	// heap-effects certificate only.
-	ReasonHeapEscape Reason = "heap-escape"
-	// ReasonHeapUnknownTarget: a write whose target the effects analysis
-	// cannot place (an untracked pointer store, an out-of-range local or
-	// global index): the write set is unbounded. Blocks the heap-effects
-	// certificate only.
-	ReasonHeapUnknownTarget Reason = "heap-unknown-target"
 )
 
 // Diag is one per-pc diagnostic.
@@ -131,11 +121,6 @@ type Diag struct {
 	// reason codes of these diagnostics explain an Admitted-but-uncertified
 	// verdict.
 	Cert bool
-	// Heap marks a Warn that withholds the heap-effects certificate only:
-	// the write set escapes run-allocated storage or cannot be bounded.
-	// Heap diagnostics never affect admission or the stack-bounds
-	// certificate.
-	Heap bool
 }
 
 // String renders the diagnostic one per line, fpcdis-style.
@@ -170,61 +155,6 @@ type ProcInfo struct {
 	// Retained reports that every reached return of the procedure carries
 	// the RETAIN mark, so its frame outlives the call (§4 keepers).
 	Retained bool
-	// Writes is the procedure's heap write-set summary, including
-	// everything its callees, transfer targets and armed trap handlers can
-	// write on its behalf.
-	Writes WriteSet
-}
-
-// WriteSet is a heap write-set summary: which storage classes a procedure
-// (or the whole program) can write during a run. Frame-arena traffic —
-// call frames, AV free-list links, records granted by AFB and released
-// before certification cares — is the Frames/Records bits; Globals marks
-// writes into module global space (state the boot image owns); Unknown
-// marks a write the analysis could not place, which makes every bound
-// vacuous.
-type WriteSet struct {
-	// Frames: frame-arena linkage traffic (call frames, AV links, saved
-	// state). Every call or return sets it; it never blocks a certificate.
-	Frames bool
-	// Globals: stores into module global words (SGB in range).
-	Globals bool
-	// Records: stores into run-allocated records the verifier tracked.
-	Records bool
-	// Unknown: a write whose target could not be placed. All bounds are
-	// off.
-	Unknown bool
-}
-
-// union folds another write set into w.
-func (w WriteSet) union(o WriteSet) WriteSet {
-	return WriteSet{
-		Frames:  w.Frames || o.Frames,
-		Globals: w.Globals || o.Globals,
-		Records: w.Records || o.Records,
-		Unknown: w.Unknown || o.Unknown,
-	}
-}
-
-// String renders the write set as a compact class list.
-func (w WriteSet) String() string {
-	var parts []string
-	if w.Frames {
-		parts = append(parts, "frames")
-	}
-	if w.Records {
-		parts = append(parts, "records")
-	}
-	if w.Globals {
-		parts = append(parts, "globals")
-	}
-	if w.Unknown {
-		parts = append(parts, "unknown")
-	}
-	if len(parts) == 0 {
-		return "none"
-	}
-	return strings.Join(parts, "+")
 }
 
 // EdgeKind classifies a call-graph edge.
@@ -277,30 +207,6 @@ type Report struct {
 	// linkage the proof depends on — a machine running this image may skip
 	// the per-instruction stack-bounds checks.
 	CertStackBounds bool
-	// CertHeapEffects is the heap-effects certificate: every write the
-	// program can perform provably lands in storage the run itself
-	// allocated (frame arena, tracked records) — nothing escapes into the
-	// boot image's state. A Reset after a certified run has a statically
-	// known repair bound.
-	CertHeapEffects bool
-	// Writes is the program-level write-set summary: the union over every
-	// reachable procedure and every pc outside procedure regions.
-	Writes WriteSet
-	// WriteFree reports that the run writes nothing the boot image owns:
-	// no globals, no tracked records, no unknown targets — only the frame
-	// arena the allocator and dirty tracking already account for. Reset
-	// may elide the memory restore when the dirty window confirms it.
-	WriteFree bool
-	// GlobalWords is the total global-word footprint of the program's
-	// module instances when Writes.Globals is set (0 otherwise): the
-	// static cap on boot-image words a certified run can touch.
-	GlobalWords int
-	// MaxDirtyWords bounds the words a certified run can dirty in the
-	// globals window [layout.GlobalsBase, HeapBase): -1 when the write set
-	// is Unknown, else GlobalWords. Frame and record traffic lands in the
-	// AV heads below the window and the frame arena above it, so the bound
-	// is exactly the escaping footprint.
-	MaxDirtyWords int
 }
 
 // Admitted reports whether the program passed verification: no Error-level
@@ -353,22 +259,6 @@ func (r *Report) CertReasons() []string {
 	return out
 }
 
-// HeapCertReasons returns the sorted distinct reason codes of the
-// heap-blocking diagnostics: why an admitted program was denied
-// CertHeapEffects. Empty for heap-certified (or rejected) programs.
-func (r *Report) HeapCertReasons() []string {
-	seen := map[Reason]bool{}
-	var out []string
-	for _, d := range r.Diags {
-		if d.Heap && !seen[d.Reason] {
-			seen[d.Reason] = true
-			out = append(out, string(d.Reason))
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // PrimaryCertReason returns the reason code of the certificate-blocking
 // diagnostic at the lowest pc — the headline answer to "why is this
 // program not certified" — or "" when nothing blocks the certificate.
@@ -399,30 +289,10 @@ func (r *Report) String() string {
 	verdict := "admitted"
 	if !r.Admitted() {
 		verdict = "rejected"
-	} else {
-		var certs []string
-		if r.CertStackBounds {
-			certs = append(certs, "stack bounds")
-		}
-		if r.CertHeapEffects {
-			certs = append(certs, "heap effects")
-		}
-		if len(certs) > 0 {
-			verdict = "admitted, " + strings.Join(certs, " + ") + " certified"
-		}
+	} else if r.CertStackBounds {
+		verdict = "admitted, stack bounds certified"
 	}
 	fmt.Fprintf(&b, "verify: %s (%d diagnostics)\n", verdict, len(r.Diags))
-	if r.Admitted() {
-		dirty := "unbounded"
-		if r.MaxDirtyWords >= 0 {
-			dirty = fmt.Sprintf("<=%d words", r.MaxDirtyWords)
-		}
-		extra := ""
-		if r.WriteFree {
-			extra = ", write-free"
-		}
-		fmt.Fprintf(&b, "  writes: %s (dirty globals %s%s)\n", r.Writes, dirty, extra)
-	}
 	diags := append([]Diag(nil), r.Diags...)
 	sort.Slice(diags, func(i, j int) bool {
 		if diags[i].Level != diags[j].Level {
@@ -458,7 +328,6 @@ func (r *Report) String() string {
 		if p.Retained {
 			ctx = append(ctx, "retained")
 		}
-		ctx = append(ctx, "writes "+p.Writes.String())
 		line := fmt.Sprintf("  proc %s @%06x: max stack %d, %s", p.Name, p.Entry, p.MaxDepth, res)
 		if len(ctx) > 0 {
 			line += " (" + strings.Join(ctx, ", ") + ")"

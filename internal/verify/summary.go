@@ -901,8 +901,6 @@ func (a *analyzer) finishCall(pc, next uint32, s absState, entry uint32, fsi int
 		a.lose(lostLocals)
 		a.diagCert(pc, ReasonIrregularCall,
 			"call target %06x is not a linked procedure entry", entry)
-		a.diagHeap(pc, ReasonHeapUnknownTarget,
-			"call target %06x is not a linked procedure entry; its writes cannot be placed", entry)
 		a.joinInto(entry, a.entryState(s.freed))
 		a.propagate(pc, next, topState(s))
 		return

@@ -23,7 +23,7 @@ import (
 // Error-level rejection on its own. Where something reachable can corrupt
 // the discipline a family of facts rests on (a raw store the record model
 // cannot bound, an untracked FREE, a transfer to an unknown context), that
-// site withholds the certificates and the family reads as top from then on
+// site withholds the certificate and the family reads as top from then on
 // (analyzer.lose); the values on the stack and every other family keep
 // their precision.
 

@@ -19,7 +19,7 @@
 //
 // Imprecision stays local. A site the value model cannot follow (a raw
 // store, an untracked FREE, a transfer or trap arm to an unknown context)
-// withholds the certificates itself and marks the one family of facts it
+// withholds the certificate itself and marks the one family of facts it
 // can invalidate as lost; the family's registered readers are requeued
 // and read it as top from then on, inside the same fixpoint.
 //
@@ -70,7 +70,7 @@ func (a interval) join(b interval) interval {
 func (a interval) exact() bool { return a.lo == a.hi }
 
 // absState is the per-pc abstract state. The depth interval drives
-// admission; the rest only ever sharpens or withholds the certificates.
+// admission; the rest only ever sharpens or withholds the certificate.
 type absState struct {
 	d      interval
 	stored uint64  // must-assigned local slots (definite assignment)
@@ -208,14 +208,8 @@ type analyzer struct {
 	diags    []Diag
 	seen     map[diagKey]bool
 	certOK   bool
-	heapOK   bool
 	calls    []CallEdge
 	callSeen map[CallEdge]bool
-
-	// Stage-3 results (effects.go): per-region and whole-program write
-	// sets, computed once over the final fixpoint.
-	writes     []WriteSet
-	progWrites WriteSet
 }
 
 // Program verifies a linked program and returns the structured report.
@@ -230,7 +224,6 @@ func Program(p *image.Program) *Report {
 		a.run()
 	}
 	a.certify()
-	a.effects()
 	return a.report()
 }
 
@@ -336,7 +329,6 @@ func newAnalyzer(p *image.Program) *analyzer {
 		seen:        map[diagKey]bool{},
 		callSeen:    map[CallEdge]bool{},
 		certOK:      true,
-		heapOK:      true,
 	}
 	for _, dw := range p.Data {
 		a.data[dw.Addr] = dw.Val
@@ -490,22 +482,6 @@ func (a *analyzer) diagCert(pc uint32, reason Reason, format string, args ...int
 	})
 }
 
-// diagHeap emits a Warn that withholds only the heap-effects certificate:
-// the write lands outside run-allocated storage (or cannot be bounded),
-// but the stack-bounds proof is untouched by it.
-func (a *analyzer) diagHeap(pc uint32, reason Reason, format string, args ...interface{}) {
-	a.heapOK = false
-	k := diagKey{pc, reason}
-	if a.seen[k] {
-		return
-	}
-	a.seen[k] = true
-	a.diags = append(a.diags, Diag{
-		PC: pc, Proc: a.procName(pc), Level: LevelWarn, Reason: reason, Heap: true,
-		Msg: fmt.Sprintf(format, args...),
-	})
-}
-
 func (a *analyzer) edge(from, callee uint32, kind EdgeKind) {
 	e := CallEdge{FromPC: from, Callee: callee, Kind: kind, May: kind == EdgeMay}
 	if !a.callSeen[e] {
@@ -641,26 +617,8 @@ func (a *analyzer) report() *Report {
 			pi.ResumeLo, pi.ResumeHi = a.pool[i].lo, a.pool[i].hi
 		}
 		pi.Retained = a.retainedAll[i] && a.retSeen[i]
-		if i < len(a.writes) {
-			pi.Writes = a.writes[i]
-		}
 		r.Procs = append(r.Procs, pi)
 	}
 	r.CertStackBounds = a.certOK && r.Admitted()
-	r.Writes = a.progWrites
-	r.WriteFree = !a.progWrites.Globals && !a.progWrites.Records && !a.progWrites.Unknown
-	r.CertHeapEffects = a.heapOK && !a.progWrites.Unknown && r.Admitted()
-	r.GlobalWords = 0
-	if a.progWrites.Globals {
-		for _, inst := range a.p.Instances {
-			r.GlobalWords += inst.Module.NumGlobals
-		}
-	}
-	switch {
-	case a.progWrites.Unknown:
-		r.MaxDirtyWords = -1
-	default:
-		r.MaxDirtyWords = r.GlobalWords
-	}
 	return r
 }

@@ -1,8 +1,12 @@
 package verify_test
 
 import (
+	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/image"
 	"repro/internal/isa"
 	"repro/internal/linker"
@@ -292,6 +296,134 @@ func TestDepthsPopulated(t *testing.T) {
 	for pc, d := range r.Depths {
 		if d[0] < 0 || d[1] > isa.EvalStackDepth || d[0] > d[1] {
 			t.Errorf("pc %06x: bad interval %v", pc, d)
+		}
+	}
+}
+
+// A module-global write lands in boot-image storage the verifier can place
+// statically: it must not cost the stack-bounds certificate.
+func TestHeapWriteIntoBootImage(t *testing.T) {
+	w := &workload.Program{
+		Name: "boot-write",
+		Sources: map[string]string{"bw": `
+module bw;
+var total = 0;
+proc main(n) {
+  total = total + n;
+  return total;
+}
+`},
+		Module: "bw", Proc: "main",
+	}
+	for _, early := range []bool{false, true} {
+		r := verify.Program(buildWorkload(t, w, early))
+		if !r.Admitted() {
+			t.Fatalf("early=%v: rejected:\n%s", early, r)
+		}
+		if !r.CertStackBounds {
+			t.Errorf("early=%v: global write cost the stack-bounds certificate:\n%s", early, r)
+		}
+	}
+}
+
+// chainProgram builds procs procedures chained by calls, each of them but
+// the last allocating a record, storing into it, loading it back and
+// freeing it. A module exposes at most 128 entry points, so the chain is
+// spread over modules of 100 procedures each; main sits in the first.
+func chainProgram(procs int) *workload.Program {
+	const perModule = 100
+	nmod := (procs + perModule - 1) / perModule
+	srcs := map[string]string{}
+	for m := 0; m < nmod; m++ {
+		var sb strings.Builder
+		fmt.Fprintf(&sb, "module m%d;\n", m)
+		if m+1 < nmod {
+			fmt.Fprintf(&sb, "import m%d;\n", m+1)
+		}
+		for i := m * perModule; i < min((m+1)*perModule, procs); i++ {
+			if i == procs-1 {
+				fmt.Fprintf(&sb, "proc p%d(x) { return x; }\n", i)
+				continue
+			}
+			next := fmt.Sprintf("p%d", i+1)
+			if (i+1)/perModule != m {
+				next = fmt.Sprintf("m%d.p%d", m+1, i+1)
+			}
+			fmt.Fprintf(&sb, `proc p%d(x) {
+  var a = alloc(4);
+  store(a, x);
+  var v = load(a);
+  dealloc(a);
+  return v + %s(x);
+}
+`, i, next)
+		}
+		if m == 0 {
+			sb.WriteString("proc main(n) { return p0(n); }\n")
+		}
+		srcs[fmt.Sprintf("m%d", m)] = sb.String()
+	}
+	return &workload.Program{
+		Name:    fmt.Sprintf("chain-%d", procs),
+		Sources: srcs,
+		Module:  "m0", Proc: "main", Args: []mem.Word{3},
+	}
+}
+
+// Region and allocation-site indices share a 256-bit set, so value
+// tracking covers the first 256 of each; past that a value merely goes
+// untracked, and the rest of the program keeps its precision. The chain
+// must hold the certificate at 70 procedures and at 257 (258 regions
+// with main, past the cap; 256 allocation sites, at it), and run
+// identically on certified and unverified images. At 400 procedures it
+// has more than 256 allocation sites: it stays admitted, and the stores
+// through the untracked sites withhold the certificate.
+func TestManyProcsCertified(t *testing.T) {
+	for _, tc := range []struct {
+		procs int
+		cert  bool
+	}{{70, true}, {257, true}, {400, false}} {
+		w := chainProgram(tc.procs)
+		for _, early := range []bool{false, true} {
+			prog := buildWorkload(t, w, early)
+			r := verify.Program(prog)
+			if !r.Admitted() {
+				t.Fatalf("%s early=%v: rejected:\n%s", w.Name, early, r)
+			}
+			if len(r.Procs) != tc.procs+1 {
+				t.Fatalf("%s early=%v: %d regions, want %d", w.Name, early, len(r.Procs), tc.procs+1)
+			}
+			if r.CertStackBounds != tc.cert {
+				t.Errorf("%s early=%v: certificate %v, want %v:\n%s",
+					w.Name, early, r.CertStackBounds, tc.cert, r)
+			}
+			if !tc.cert {
+				continue
+			}
+			for _, cfg := range []core.Config{core.ConfigMesa, core.ConfigFastCalls} {
+				var got [2][]mem.Word
+				var metrics [2]*core.Metrics
+				for i, opts := range [][]core.LoadOption{nil, {core.WithVerify()}} {
+					img, err := core.LoadImage(prog, cfg, opts...)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if img.Certified() != (i == 1) {
+						t.Fatalf("%s early=%v: certified image = %v", w.Name, early, img.Certified())
+					}
+					m, err := img.NewMachine()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got[i], err = m.Call(img.Entry(), w.Args...); err != nil {
+						t.Fatalf("%s early=%v: run: %v", w.Name, early, err)
+					}
+					metrics[i] = m.Metrics().Clone()
+				}
+				if !reflect.DeepEqual(got[0], got[1]) || !reflect.DeepEqual(metrics[0], metrics[1]) {
+					t.Errorf("%s early=%v: certified run %v diverges from unverified %v", w.Name, early, got[1], got[0])
+				}
+			}
 		}
 	}
 }

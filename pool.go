@@ -29,10 +29,10 @@ type Pool struct {
 // NewPool loads prog once under cfg and returns a pool of machines over
 // the shared image. The load is opportunistically verified: when the
 // static verifier admits the program the pool serves the verified image,
-// which carries the verifier's report and certificates (the heap-effects
-// certificate lets Reset skip its memory restore). A program the verifier
-// rejects is loaded unverified; NewPool never rejects a program LoadImage
-// accepts.
+// which carries the verifier's report and stack-bounds certificate. A
+// program the verifier rejects is loaded unverified; NewPool never
+// rejects a program LoadImage accepts. Both kinds of image run and reset
+// the same way.
 func NewPool(prog *Program, cfg Config) (*Pool, error) {
 	if img, err := core.LoadImage(prog, cfg, core.WithVerify()); err == nil {
 		return NewPoolFromImage(img), nil

@@ -1,15 +1,13 @@
 // Command certfrac measures the verifier's certified fraction over the
 // difffuzz seed corpus: for each generator seed it builds the program
 // under both linkage policies, runs the link-time verifier, and counts
-// admissions and stack-bounds certificates. The result is merged into
-// BENCH_dispatch.json as the "verify" block (the benchmark blocks written
-// by scripts/benchjson are preserved untouched), so the certified-fraction
-// headline lives next to the DispatchCertified numbers it pays off in.
+// admissions and stack-bounds certificates.
 //
-// Like benchjson, the first recorded measurement is seeded as the
-// baseline; -check then enforces a ratchet: the run fails when the freshly
-// measured fraction drops below the recorded one, so CI catches a verifier
-// precision regression the way it catches a dispatch slowdown.
+// The measurement is recorded in scripts/certfrac/ratchet.json. The first
+// recorded measurement is kept as the baseline; -check turns the record
+// into a ratchet: the run fails when the freshly measured fraction drops
+// below the recorded one, so CI catches a verifier precision regression,
+// and the record is left as it is. Without -check the run records itself.
 //
 //	go run ./scripts/certfrac -n 10000 -check
 package main
@@ -31,8 +29,8 @@ import (
 	"repro/internal/workload"
 )
 
-// verifyBlock is the "verify" key of BENCH_dispatch.json.
-type verifyBlock struct {
+// record is the content of the ratchet file.
+type record struct {
 	Commit string `json:"commit,omitempty"`
 	Date   string `json:"date,omitempty"`
 	Note   string `json:"note,omitempty"`
@@ -46,37 +44,17 @@ type verifyBlock struct {
 	Fraction       float64 `json:"fraction"`
 	CertifiedEarly int     `json:"certified_early"`
 	FractionEarly  float64 `json:"fraction_early"`
-	// Per-certificate breakdown under the late-bound linkage: seeds
-	// holding only the stack-bounds certificate, only the heap-effects
-	// certificate, or both (Certified == CertStackOnly + CertBoth).
-	// FractionHeap is the heap-effects fraction ((CertHeapOnly +
-	// CertBoth) / Seeds); -check ratchets it alongside Fraction.
-	CertStackOnly int     `json:"cert_stack_only,omitempty"`
-	CertHeapOnly  int     `json:"cert_heap_only,omitempty"`
-	CertBoth      int     `json:"cert_both,omitempty"`
-	FractionHeap  float64 `json:"fraction_heap,omitempty"`
-	// WriteFree counts late-bound seeds additionally proved write-free:
-	// their images take the elided Reset path.
-	WriteFree int `json:"write_free,omitempty"`
 	// Baseline is the first recorded measurement, kept for before/after
-	// comparison and as the -check ratchet floor.
-	Baseline *verifyBlock `json:"baseline,omitempty"`
-}
-
-// fileShape reads/writes BENCH_dispatch.json while leaving the benchmark
-// blocks exactly as scripts/benchjson wrote them.
-type fileShape struct {
-	Baseline json.RawMessage `json:"baseline,omitempty"`
-	Current  json.RawMessage `json:"current,omitempty"`
-	Verify   *verifyBlock    `json:"verify,omitempty"`
+	// comparison.
+	Baseline *record `json:"baseline,omitempty"`
 }
 
 func main() {
 	var (
 		n       = flag.Int("n", 10000, "number of generator seeds to measure")
 		start   = flag.Int64("start", 0, "first seed")
-		out     = flag.String("out", "BENCH_dispatch.json", "record file (verify block merged in place)")
-		check   = flag.Bool("check", false, "fail when the fraction regresses below the recorded one")
+		out     = flag.String("out", "scripts/certfrac/ratchet.json", "record file")
+		check   = flag.Bool("check", false, "fail when the fraction regresses below the recorded one; leave the record as it is")
 		note    = flag.String("note", "", "note stored with the measurement")
 		workers = flag.Int("workers", runtime.GOMAXPROCS(0), "concurrent verifier goroutines")
 		quiet   = flag.Bool("quiet", false, "suppress the progress line")
@@ -84,7 +62,6 @@ func main() {
 	flag.Parse()
 
 	var admitted, certified, certifiedEarly, done atomic.Int64
-	var stackOnly, heapOnly, both, writeFree atomic.Int64
 	seeds := make(chan int64)
 	var wg sync.WaitGroup
 	for w := 0; w < *workers; w++ {
@@ -113,19 +90,6 @@ func main() {
 							certified.Add(1)
 						}
 					}
-					if !early {
-						switch {
-						case rep.CertStackBounds && rep.CertHeapEffects:
-							both.Add(1)
-						case rep.CertStackBounds:
-							stackOnly.Add(1)
-						case rep.CertHeapEffects:
-							heapOnly.Add(1)
-						}
-						if rep.CertHeapEffects && rep.WriteFree {
-							writeFree.Add(1)
-						}
-					}
 				}
 				if ok {
 					admitted.Add(1)
@@ -142,7 +106,7 @@ func main() {
 	close(seeds)
 	wg.Wait()
 
-	cur := &verifyBlock{
+	cur := &record{
 		Commit:         gitHead(),
 		Date:           time.Now().Format("2006-01-02"),
 		Note:           *note,
@@ -152,56 +116,45 @@ func main() {
 		Fraction:       frac(int(certified.Load()), *n),
 		CertifiedEarly: int(certifiedEarly.Load()),
 		FractionEarly:  frac(int(certifiedEarly.Load()), *n),
-		CertStackOnly:  int(stackOnly.Load()),
-		CertHeapOnly:   int(heapOnly.Load()),
-		CertBoth:       int(both.Load()),
-		FractionHeap:   frac(int(heapOnly.Load()+both.Load()), *n),
-		WriteFree:      int(writeFree.Load()),
 	}
 
-	var f fileShape
+	var prev *record
 	if data, err := os.ReadFile(*out); err == nil {
-		if err := json.Unmarshal(data, &f); err != nil {
+		prev = new(record)
+		if err := json.Unmarshal(data, prev); err != nil {
 			fmt.Fprintf(os.Stderr, "certfrac: %s: %v\n", *out, err)
 			os.Exit(1)
 		}
 	}
-	prev := f.Verify
-	if prev != nil {
-		if prev.Baseline != nil {
-			cur.Baseline = prev.Baseline
-		} else {
-			base := *prev
-			base.Note = strings.TrimSpace(base.Note + " (baseline: interval verifier)")
-			cur.Baseline = &base
-		}
-	} else {
-		base := *cur
-		base.Note = strings.TrimSpace(base.Note + " (seeded from first measurement)")
-		cur.Baseline = &base
-	}
 
 	fmt.Printf("certfrac: seeds %d: admitted %d, certified %d (%.4f late-bound, %.4f early-bound)\n",
 		cur.Seeds, cur.Admitted, cur.Certified, cur.Fraction, cur.FractionEarly)
-	fmt.Printf("certfrac: certificates: %d stack-only, %d heap-only, %d both (heap fraction %.4f, %d write-free)\n",
-		cur.CertStackOnly, cur.CertHeapOnly, cur.CertBoth, cur.FractionHeap, cur.WriteFree)
-	if cur.Baseline != nil && cur.Baseline != cur {
-		fmt.Printf("certfrac: recorded baseline: %.4f over %d seeds\n", cur.Baseline.Fraction, cur.Baseline.Seeds)
+
+	if *check {
+		if prev == nil {
+			fmt.Fprintf(os.Stderr, "certfrac: FAIL: no recorded fraction in %s\n", *out)
+			os.Exit(1)
+		}
+		fmt.Printf("certfrac: recorded fraction %.4f over %d seeds\n", prev.Fraction, prev.Seeds)
+		if cur.Fraction < prev.Fraction-1e-9 {
+			fmt.Fprintf(os.Stderr, "certfrac: FAIL: fraction %.4f regressed below recorded %.4f\n",
+				cur.Fraction, prev.Fraction)
+			os.Exit(1)
+		}
+		return
 	}
 
-	if *check && prev != nil && cur.Fraction < prev.Fraction-1e-9 {
-		fmt.Fprintf(os.Stderr, "certfrac: FAIL: fraction %.4f regressed below recorded %.4f\n",
-			cur.Fraction, prev.Fraction)
-		os.Exit(1)
+	switch {
+	case prev == nil:
+		base := *cur
+		base.Note = strings.TrimSpace(base.Note + " (seeded from first measurement)")
+		cur.Baseline = &base
+	case prev.Baseline != nil:
+		cur.Baseline = prev.Baseline
+	default:
+		cur.Baseline = prev
 	}
-	if *check && prev != nil && cur.FractionHeap < prev.FractionHeap-1e-9 {
-		fmt.Fprintf(os.Stderr, "certfrac: FAIL: heap fraction %.4f regressed below recorded %.4f\n",
-			cur.FractionHeap, prev.FractionHeap)
-		os.Exit(1)
-	}
-
-	f.Verify = cur
-	data, err := json.MarshalIndent(&f, "", "  ")
+	data, err := json.MarshalIndent(cur, "", "  ")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "certfrac:", err)
 		os.Exit(1)
@@ -210,7 +163,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "certfrac:", err)
 		os.Exit(1)
 	}
-	fmt.Printf("certfrac: wrote verify block to %s\n", *out)
+	fmt.Printf("certfrac: wrote %s\n", *out)
 }
 
 func frac(k, n int) float64 {

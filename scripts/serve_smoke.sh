@@ -76,9 +76,9 @@ echo "serve-smoke: registry submit-or-hit OK (hash ${HASH%"${HASH#????????}"}…
 
 # Verifier admission split: the trivial program above is certified; a
 # program that stores through a caller-passed record pointer (a write the
-# summary analysis cannot place) is admitted but falls back to the checked
-# table, reporting its denial reason codes both in the /run response and
-# in the per-reason admission counters.
+# summary analysis cannot place) is admitted without the certificate and
+# runs on the same handler table, reporting its denial reason codes both
+# in the /run response and in the per-reason admission counters.
 UNCERT_BODY='{"modules":{"u":"module u; proc poke(p, v) { store(p, v); } proc main(n) { var a = alloc(4); poke(a, n); var v = load(a); dealloc(a); return v; }"},"entry":"u.main","args":[9]}'
 UNCERT="$(curl -fsS -X POST -d "$UNCERT_BODY" "$ADDR/run")"
 case "$UNCERT" in
