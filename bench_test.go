@@ -6,6 +6,7 @@
 package fpc_test
 
 import (
+	"context"
 	"testing"
 
 	fpc "repro"
@@ -182,6 +183,65 @@ func BenchmarkPoolThroughput(b *testing.B) {
 		b.ReportMetric(float64(mt.Cycles)/float64(n), "simcycles/op")
 	}
 	b.ReportMetric(mt.FastFraction(), "fastfrac")
+}
+
+// engineMix is the corpus at the sizes servebench's engine-mix workload
+// runs, 12-40k simulated instructions per call. The list mirrors
+// servebench/workloads.go's engineMix.
+func engineMix() []*workload.Program {
+	return []*workload.Program{
+		workload.Fib(15),
+		workload.Ackermann(2, 28),
+		workload.Tak(12, 8, 4),
+		workload.Sort(72),
+		workload.Sieve(450),
+		workload.Queens(5),
+		workload.CallChain(600),
+		workload.Coroutines(900),
+		workload.Interfaces(660),
+		workload.Pressure(440),
+		workload.Traps(920),
+	}
+}
+
+// BenchmarkEngineMix times one pooled call of each engineMix program on a
+// warm verified ConfigFastCalls pool, through CallContext with a
+// cancellable context as the server calls it. ns/siminstr normalizes the
+// programs' different lengths so they are comparable; simcycles/op is the
+// exact simulated cost of one call, which no host-side change may move.
+// Both come from the pool's aggregate rather than CallResult, so
+// scripts/abpair -overlay bench_test.go can time a base revision whose
+// CallResult has other fields.
+func BenchmarkEngineMix(b *testing.B) {
+	for _, p := range engineMix() {
+		b.Run(p.Name, func(b *testing.B) {
+			prog, _, err := p.Build(fpc.DefaultLinkOptions(fpc.ConfigFastCalls))
+			if err != nil {
+				b.Fatal(err)
+			}
+			img, err := fpc.LoadImageVerified(prog, fpc.ConfigFastCalls)
+			if err != nil {
+				b.Fatal(err)
+			}
+			pool := fpc.NewPoolFromImage(img)
+			if err := pool.Warm(1); err != nil {
+				b.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := pool.CallContext(ctx, prog.Entry, 0, p.Args...); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			agg := pool.Metrics()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(agg.Instructions), "ns/siminstr")
+			b.ReportMetric(float64(agg.Cycles)/float64(pool.Runs()), "simcycles/op")
+		})
+	}
 }
 
 // BenchmarkBoot compares the two ways to get a runnable machine: booting

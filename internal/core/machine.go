@@ -107,6 +107,12 @@ type Machine struct {
 
 	rs    *ifu.Stack
 	banks *regbank.File
+	// frameBank is the bank that shadowed lf when control last entered a
+	// frame, nil when none. A bank's Owner names the one frame it shadows,
+	// and the local-variable handlers use frameBank only while its Owner
+	// is still lf: after LAB, FREE, a fallback or an eviction takes the
+	// bank away it is stale but harmless, and the handlers scan instead.
+	frameBank *regbank.Bank
 
 	// trapCtx is the in-machine trap handler context (set by STRAP). A
 	// trap transfers to it exactly like a call with [code] as the
@@ -117,8 +123,11 @@ type Machine struct {
 	// trapSaves holds the trapping contexts' partial evaluation stacks —
 	// a trap can strike mid-expression, and the machine (like Mesa's
 	// state-vector save) preserves the operands below the trap and
-	// restores them beneath the handler's results on resumption.
+	// restores them beneath the handler's results on resumption. The
+	// saved operands are stacked in trapWords, which Reset truncates and
+	// keeps, so a trap costs no allocation once the storage has grown.
 	trapSaves []trapSave
+	trapWords []mem.Word
 
 	// Free-frame stack (§7.1): processor-held standard-size frames.
 	freeFrames []mem.Addr
@@ -182,7 +191,7 @@ func (m *Machine) Reset() {
 	m.curFSI, m.curRet = -1, false
 	m.stackBank = -1
 	m.trapCtx = 0
-	m.trapSaves = nil
+	m.trapSaves, m.trapWords = m.trapSaves[:0], m.trapWords[:0]
 	m.halted = false
 	m.cycles = 0
 	m.metrics.reset()
@@ -227,9 +236,31 @@ func (m *Machine) refs() uint64 {
 // detached from the machine: further runs, or a pooled machine's Reset
 // and reuse, cannot retroactively mutate metrics already handed out.
 func (m *Machine) Metrics() *Metrics {
+	m.finishMetrics()
+	return m.metrics.Clone()
+}
+
+// MergeMetricsInto folds the accumulated counters into agg — what
+// Metrics().Merge would add — without copying them: a pool merges each
+// run into its aggregate this way before Reset empties the machine's
+// counters in place.
+func (m *Machine) MergeMetricsInto(agg *Metrics) {
+	m.finishMetrics()
+	agg.Merge(&m.metrics)
+}
+
+// Counts reports the executed instructions, total cycles and charged
+// references so far — the three counters Metrics().Instructions, .Cycles
+// and .ChargedRefs would read — without copying Metrics.
+func (m *Machine) Counts() (steps, cycles, refs uint64) {
+	m.finishMetrics()
+	return m.metrics.Instructions, m.metrics.Cycles, m.metrics.ChargedRefs
+}
+
+// finishMetrics derives the totals that are not kept live during a run.
+func (m *Machine) finishMetrics() {
 	m.metrics.ChargedRefs = m.refs()
 	m.metrics.Cycles = m.cycles + CycMemRef*m.metrics.ChargedRefs
-	return m.metrics.Clone()
 }
 
 // snapshot marks the start of a transfer for per-kind cost accounting.
@@ -340,9 +371,25 @@ func (m *Machine) bankOf(lf mem.Addr) int {
 	return m.banks.Lookup(lf)
 }
 
+// shadowFrame returns the bank shadowing frame lf, reloading one from
+// storage when none does (§7.1 underflow); nil when banking is off or no
+// bank can be had.
+func (m *Machine) shadowFrame(lf mem.Addr) *regbank.Bank {
+	if m.cfg.RegBanks == 0 {
+		return nil
+	}
+	b := m.banks.Lookup(uint16(lf))
+	if b < 0 {
+		if b = m.reloadBank(lf); b < 0 {
+			return nil
+		}
+	}
+	return m.banks.Get(b)
+}
+
 // flushBank writes a bank's dirty words to its frame (charged) — the §7.1
 // overflow path and the §7.4 pointer fallback.
-func (m *Machine) flushBank(b regbank.Bank) {
+func (m *Machine) flushBank(b *regbank.Bank) {
 	lf := mem.Addr(b.Owner)
 	for i := 0; i < len(b.Words); i++ {
 		if b.Dirty&(1<<uint(i)) != 0 {
@@ -352,32 +399,34 @@ func (m *Machine) flushBank(b regbank.Bank) {
 	}
 }
 
-// acquireBank gets a bank for owner, flushing the oldest bank if needed.
+// acquireBank gets a bank for owner, flushing the oldest bank in place
+// first if every bank is taken.
 func (m *Machine) acquireBank(owner int32) int {
-	b, victim, flushed := m.banks.Acquire(owner)
+	b := m.banks.Pick()
 	if b < 0 {
 		return -1
 	}
-	if flushed && victim.Owner >= 0 {
+	if victim := m.banks.Get(b); victim.Owner >= 0 {
 		m.metrics.BankOverflows++
 		m.flushBank(victim)
 	}
+	m.banks.Assign(b, owner)
 	return b
 }
 
-// reloadBank assigns and fills a bank for frame lf (§7.1 underflow).
+// reloadBank assigns a bank for frame lf and reads the frame's first words
+// straight into it (§7.1 underflow); the reloaded words are clean.
 func (m *Machine) reloadBank(lf mem.Addr) int {
 	b := m.acquireBank(int32(lf))
 	if b < 0 {
 		return -1
 	}
 	m.metrics.BankUnderflows++
-	words := make([]uint16, m.cfg.BankWords)
+	words := m.banks.Get(b).Words
 	for i := range words {
 		words[i] = m.read(lf + mem.Addr(i))
 		m.metrics.BankReloadWords++
 	}
-	m.banks.Load(b, words)
 	return b
 }
 
@@ -391,9 +440,12 @@ func (m *Machine) fallback() error {
 			return err
 		}
 	}
-	for _, b := range m.banks.ReleaseAll() {
-		m.flushBank(b)
+	for i := 0; i < m.banks.NumBanks(); i++ {
+		if b := m.banks.Get(i); b.Owner >= 0 {
+			m.flushBank(b)
+		}
 	}
+	m.banks.ReleaseAll()
 	m.stackBank = -1
 	return nil
 }
@@ -507,8 +559,8 @@ func (m *Machine) pop() (mem.Word, error) {
 }
 
 type trapSave struct {
-	calleeLF mem.Addr   // the handler frame whose return restores the save
-	words    []mem.Word // the trapper's stack below the trap point
+	calleeLF mem.Addr // the handler frame whose return restores the save
+	base     int      // the trapper's stack below the trap point is trapWords[base:]
 }
 
 // trap routes a trap code: to the in-machine handler context when one is
@@ -520,27 +572,35 @@ type trapSave struct {
 func (m *Machine) trapXfer(code int) (bool, error) {
 	if m.trapCtx != 0 {
 		// Preserve the trapper's partial evaluation stack; the handler
-		// receives only the trap code.
-		saved := append([]mem.Word(nil), m.stack[:m.sp]...)
-		m.sp = 0
-		if err := m.push(mem.Word(code)); err != nil {
+		// receives only the trap code. A failed transfer records no save.
+		base := len(m.trapWords)
+		m.trapWords = append(m.trapWords, m.stack[:m.sp]...)
+		if err := m.enterTrapHandler(code); err != nil {
+			m.trapWords = m.trapWords[:base]
 			return false, err
 		}
-		m.snapshot()
-		if !image.IsProc(m.trapCtx) {
-			return false, fmt.Errorf("%w: trap handler %04x is not a procedure", ErrBadContext, m.trapCtx)
-		}
-		gf, cb, entry, fsi, err := m.resolveProc(m.trapCtx)
-		if err != nil {
-			return false, err
-		}
-		if err := m.enterProc(gf, cb, true, entry, fsi, KindXfer); err != nil {
-			return false, err
-		}
-		m.trapSaves = append(m.trapSaves, trapSave{calleeLF: m.lf, words: saved})
+		m.trapSaves = append(m.trapSaves, trapSave{calleeLF: m.lf, base: base})
 		return true, nil
 	}
 	return false, m.trap(code)
+}
+
+// enterTrapHandler transfers to the in-machine handler with [code] as the
+// argument record.
+func (m *Machine) enterTrapHandler(code int) error {
+	m.sp = 0
+	if err := m.push(mem.Word(code)); err != nil {
+		return err
+	}
+	m.snapshot()
+	if !image.IsProc(m.trapCtx) {
+		return fmt.Errorf("%w: trap handler %04x is not a procedure", ErrBadContext, m.trapCtx)
+	}
+	gf, cb, entry, fsi, err := m.resolveProc(m.trapCtx)
+	if err != nil {
+		return err
+	}
+	return m.enterProc(gf, cb, true, entry, fsi, KindXfer)
 }
 
 // restoreTrapSave reinstates a trapper's saved operands beneath the
@@ -550,15 +610,18 @@ func (m *Machine) restoreTrapSave(retired mem.Addr) error {
 	if n == 0 || m.trapSaves[n-1].calleeLF != retired {
 		return nil
 	}
-	save := m.trapSaves[n-1]
+	base := m.trapSaves[n-1].base
+	words := m.trapWords[base:]
 	m.trapSaves = m.trapSaves[:n-1]
-	if len(save.words)+m.sp > EvalStackDepth {
+	m.trapWords = m.trapWords[:base]
+	if len(words)+m.sp > EvalStackDepth {
 		return fmt.Errorf("%w: trap restore overflows", ErrStack)
 	}
-	results := append([]mem.Word(nil), m.stack[:m.sp]...)
-	copy(m.stack[:], save.words)
-	copy(m.stack[len(save.words):], results)
-	m.sp = len(save.words) + len(results)
+	// Move the results up (copy handles the overlap), then put the saved
+	// operands beneath them.
+	copy(m.stack[len(words):], m.stack[:m.sp])
+	copy(m.stack[:], words)
+	m.sp += len(words)
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"repro/internal/isa"
 	"repro/internal/linker"
 	"repro/internal/mem"
+	"repro/internal/workload"
 )
 
 func TestConfigValidation(t *testing.T) {
@@ -111,6 +113,62 @@ func TestFallbackFlushesEverything(t *testing.T) {
 	if res[0] != 34 {
 		t.Fatalf("post-fallback fib(9) = %v", res)
 	}
+}
+
+// TestFallbackFromTrapHandler: a Config.Trap handler that calls Fallback
+// in mid-run flushes every bank, the running frame's included, and the
+// trapping procedure must carry on from storage: its later local stores
+// must not land in the bank the fallback freed, which the next call hands
+// out again. Results and instruction count equal a run whose handler does
+// nothing; only the flush traffic differs.
+func TestFallbackFromTrapHandler(t *testing.T) {
+	p := &workload.Program{
+		Name: "fallback-trap",
+		Sources: map[string]string{"fb": `
+module fb;
+proc g(x) { return x * 3 + 1; }
+proc f(n, a, b) {
+  if (n < 1) {
+    var t = trap(7);
+    t = t + a;
+    var u = g(b);
+    return a + b + t + u;
+  }
+  return f(n - 1, a + n, b + 2 * n) + f(n - 1, a ^ n, b + 1);
+}
+proc main(n) { return f(n, 1, 2); }
+`},
+		Module: "fb", Proc: "main", Args: []mem.Word{9},
+	}
+	prog, _, err := p.Build(linker.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(trap func(*Machine, int) error) ([]mem.Word, *Metrics) {
+		cfg := ConfigFastCalls
+		cfg.Trap = trap
+		m, err := New(prog, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := m.Call(prog.Entry, p.Args...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, m.Metrics()
+	}
+	wantRes, want := run(func(*Machine, int) error { return nil })
+	gotRes, got := run(func(m *Machine, _ int) error { return m.Fallback() })
+	if !reflect.DeepEqual(gotRes, wantRes) || got.Instructions != want.Instructions {
+		t.Fatalf("with Fallback in the handler: %v in %d instructions, want %v in %d",
+			gotRes, got.Instructions, wantRes, want.Instructions)
+	}
+	if got.BankFlushWords <= want.BankFlushWords {
+		t.Fatalf("handler's Fallback flushed %d words, a no-op handler's run %d: nothing was flushed",
+			got.BankFlushWords, want.BankFlushWords)
+	}
+	t.Logf("%v in %d instructions; %d against %d flushed words",
+		gotRes, got.Instructions, got.BankFlushWords, want.BankFlushWords)
 }
 
 func TestMetricsIdentities(t *testing.T) {

@@ -30,7 +30,7 @@ func (m *Machine) Start(desc mem.Word, args ...mem.Word) error {
 	m.cbValid = false
 	m.curFSI, m.curRet = -1, false
 	m.retCtx = 0
-	m.trapSaves = nil
+	m.trapSaves, m.trapWords = m.trapSaves[:0], m.trapWords[:0]
 	if m.cfg.RegBanks > 0 && m.stackBank < 0 {
 		m.stackBank = m.acquireBank(regbank.OwnerStack)
 	}

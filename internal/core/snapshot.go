@@ -175,9 +175,13 @@ func (m *Machine) Snapshot() (*Continuation, error) {
 	if len(m.trapSaves) > 0 {
 		c.TrapSaves = make([]TrapSave, len(m.trapSaves))
 		for i, ts := range m.trapSaves {
+			end := len(m.trapWords)
+			if i+1 < len(m.trapSaves) {
+				end = m.trapSaves[i+1].base
+			}
 			c.TrapSaves[i] = TrapSave{
 				CalleeLF: ts.calleeLF,
-				Words:    append([]mem.Word(nil), ts.words...),
+				Words:    append([]mem.Word(nil), m.trapWords[ts.base:end]...),
 			}
 		}
 	}
@@ -226,14 +230,13 @@ func (m *Machine) Restore(c *Continuation) error {
 	m.sp = len(c.Stack)
 	m.curFSI, m.curRet = c.CurFSI, c.CurRet
 	m.trapCtx = c.TrapCtx
-	if len(c.TrapSaves) > 0 {
-		m.trapSaves = make([]trapSave, len(c.TrapSaves))
-		for i, ts := range c.TrapSaves {
-			m.trapSaves[i] = trapSave{
-				calleeLF: ts.CalleeLF,
-				words:    append([]mem.Word(nil), ts.Words...),
-			}
-		}
+	for _, ts := range c.TrapSaves {
+		m.trapSaves = append(m.trapSaves, trapSave{calleeLF: ts.CalleeLF, base: len(m.trapWords)})
+		m.trapWords = append(m.trapWords, ts.Words...)
+	}
+	m.frameBank = nil
+	if b := m.bankOf(m.lf); b >= 0 {
+		m.frameBank = m.banks.Get(b)
 	}
 	m.halted = c.Halted
 	m.Output = append([]mem.Word(nil), c.Output...)

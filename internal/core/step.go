@@ -5,7 +5,6 @@ import (
 	"repro/internal/image"
 	"repro/internal/isa"
 	"repro/internal/mem"
-	"repro/internal/regbank"
 )
 
 // The decode-once execution engine. The shared LoadedImage predecodes the
@@ -123,9 +122,18 @@ func hOut(m *Machine, _ *isa.Inst) error {
 
 // Locals. Predecode folded the fast forms' index into Arg.
 
+// The local-variable handlers read and write the running frame's bank
+// directly while frameBank still shadows lf, and take frameLoad/frameStore's
+// lookup otherwise; both count the same bank hit or miss.
+
 func hLoadLocal(m *Machine, in *isa.Inst) error {
 	m.metrics.LocalVarRefs++
-	return m.push(m.frameLoad(m.lf, image.FrameHeaderWords+int(in.Arg)))
+	off := image.FrameHeaderWords + int(in.Arg)
+	if b := m.frameBank; b != nil && b.Owner == int32(m.lf) && off < len(b.Words) {
+		m.metrics.BankHits++
+		return m.push(b.Words[off])
+	}
+	return m.push(m.frameLoad(m.lf, off))
 }
 
 func hStoreLocal(m *Machine, in *isa.Inst) error {
@@ -134,7 +142,13 @@ func hStoreLocal(m *Machine, in *isa.Inst) error {
 	if err != nil {
 		return err
 	}
-	m.frameStore(m.lf, image.FrameHeaderWords+int(in.Arg), v)
+	off := image.FrameHeaderWords + int(in.Arg)
+	if b := m.frameBank; b != nil && b.Owner == int32(m.lf) && off < len(b.Words) {
+		m.metrics.BankHits++
+		b.Write(off, v)
+		return nil
+	}
+	m.frameStore(m.lf, off, v)
 	return nil
 }
 
@@ -573,8 +587,7 @@ func (m *Machine) directCall(hdr uint32) error {
 // and released and the frame flagged.
 func (m *Machine) localAddress(n int) error {
 	if b := m.bankOf(m.lf); b >= 0 {
-		bank := m.banks.Get(b)
-		m.flushBank(regbank.Bank{Words: bank.Words, Dirty: bank.Dirty, Owner: bank.Owner})
+		m.flushBank(m.banks.Get(b))
 		m.banks.Release(b)
 		m.metrics.PointerFlushes++
 	}

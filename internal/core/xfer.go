@@ -97,6 +97,7 @@ func (m *Machine) enterProc(gf mem.Addr, cb uint32, cbValid bool, entry uint32, 
 		m.banks.Write(b, 1, gf)
 		m.banks.Rename(b, int32(newLF))
 		m.metrics.BankRenames++
+		m.frameBank = m.banks.Get(b)
 		m.stackBank = m.acquireBank(regbank.OwnerStack)
 	} else {
 		m.write(newLF+0, returnLink)
@@ -139,8 +140,9 @@ func (m *Machine) doReturn() error {
 		m.lf, m.gf, m.pc = mem.Addr(e.LF), mem.Addr(e.GF), e.PC
 		m.cbValid = false
 		m.curFSI, m.curRet = e.FSI, e.Retained
-		if m.cfg.RegBanks > 0 && m.lf != 0 && m.banks.Lookup(uint16(m.lf)) < 0 {
-			m.reloadBank(m.lf)
+		m.frameBank = nil
+		if m.lf != 0 {
+			m.frameBank = m.shadowFrame(m.lf)
 		}
 		m.cycles += CycRefill
 		m.metrics.Transfers[KindReturn]++
@@ -177,9 +179,7 @@ func (m *Machine) xferIn(ctx mem.Word, kind TransferKind) error {
 	if f >= image.HeapLimit || f < image.GlobalsBase {
 		return fmt.Errorf("%w: frame %04x", ErrBadContext, ctx)
 	}
-	if m.cfg.RegBanks > 0 && m.banks.Lookup(uint16(f)) < 0 {
-		m.reloadBank(f)
-	}
+	fb := m.shadowFrame(f)
 	gfw := m.frameLoad(f, 1)
 	if gfw&embryoBit != 0 {
 		// First transfer into a created context: deliver the argument
@@ -200,6 +200,7 @@ func (m *Machine) xferIn(ctx mem.Word, kind TransferKind) error {
 		return err
 	}
 	m.lf, m.gf = f, gf
+	m.frameBank = fb
 	m.codeBase, m.cbValid = cb, true
 	m.pc = cb + uint32(relpc)
 	m.curFSI, m.curRet = -1, false

@@ -524,6 +524,9 @@ func checkMetamorphic(p *workload.Program, name string, cfg core.Config, ref rec
 
 	// Pool: the aggregate must equal the exact sum of per-run metrics —
 	// budget-cut runs included — and every completed run the reference.
+	// Each run is served twice: through Get/Put, which reads its full
+	// Metrics on the machine, and through CallContext, whose counters must
+	// equal them. Both merge into the aggregate.
 	pool := fpc.NewPoolFromImage(img)
 	var sum core.Metrics
 	const runs = 3
@@ -532,32 +535,68 @@ func checkMetamorphic(p *workload.Program, name string, cfg core.Config, ref rec
 		if i == 1 && total/2 > 0 {
 			budget = total / 2 // one deliberately cut run in the middle
 		}
-		cr, err := pool.CallContext(nil, img.Entry(), budget, p.Args...)
-		if cr == nil || cr.Metrics == nil {
-			return failf(KindPool, "%s: run %d lost its CallResult/metrics (err=%v)", name, i, err)
+		got, met, err := pooledRun(pool, img.Entry(), budget, p.Args)
+		if met == nil {
+			return failf(KindPool, "%s: run %d got no machine: %v", name, i, err)
 		}
-		if budget == 0 {
-			if err != nil {
-				return failf(KindPool, "%s: pooled run %d failed: %v", name, i, err)
-			}
-			got := record{results: cr.Results, output: cr.Output}
-			if !got.equal(freshRec) {
-				return failf(KindPool, "%s: pooled run %d %v/%v, fresh %v/%v",
-					name, i, got.results, got.output, freshRec.results, freshRec.output)
-			}
-		} else if !errors.Is(err, core.ErrMaxSteps) {
-			return failf(KindPool, "%s: budgeted pooled run: err = %v, want ErrMaxSteps", name, err)
+		cr, cerr := pool.CallContext(nil, img.Entry(), budget, p.Args...)
+		if cr == nil {
+			return failf(KindPool, "%s: run %d lost its CallResult (err=%v)", name, i, cerr)
 		}
-		sum.Merge(cr.Metrics)
+		if !sameCounts(cr, met) {
+			return failf(KindPool, "%s: run %d CallContext counted %d/%d/%d, Get/Put %d/%d/%d",
+				name, i, cr.Steps, cr.Cycles, cr.Refs, met.Instructions, met.Cycles, met.ChargedRefs)
+		}
+		for _, r := range []struct {
+			rec record
+			err error
+		}{{got, err}, {record{results: cr.Results, output: cr.Output}, cerr}} {
+			if budget == 0 {
+				if r.err != nil {
+					return failf(KindPool, "%s: pooled run %d failed: %v", name, i, r.err)
+				}
+				if !r.rec.equal(freshRec) {
+					return failf(KindPool, "%s: pooled run %d %v/%v, fresh %v/%v",
+						name, i, r.rec.results, r.rec.output, freshRec.results, freshRec.output)
+				}
+			} else if !errors.Is(r.err, core.ErrMaxSteps) {
+				return failf(KindPool, "%s: budgeted pooled run: err = %v, want ErrMaxSteps", name, r.err)
+			}
+		}
+		sum.Merge(met)
+		sum.Merge(met)
 	}
-	if pool.Runs() != runs {
-		return failf(KindPool, "%s: pool Runs = %d, want %d", name, pool.Runs(), runs)
+	if pool.Runs() != 2*runs {
+		return failf(KindPool, "%s: pool Runs = %d, want %d", name, pool.Runs(), 2*runs)
 	}
 	if !reflect.DeepEqual(pool.Metrics(), sum.Clone()) {
 		return failf(KindPool, "%s: pool aggregate != Σ per-run metrics:\nagg %+v\nsum %+v",
 			name, pool.Metrics(), &sum)
 	}
 	return nil
+}
+
+// pooledRun runs entry on a machine taken from pool with Get and handed
+// back with Put, returning the run's record and error and its full
+// Metrics, read on the machine before Put merges them into the aggregate.
+// The Metrics are nil only when Get failed.
+func pooledRun(pool *fpc.Pool, entry mem.Word, budget uint64, args []mem.Word) (record, *core.Metrics, error) {
+	m, err := pool.Get()
+	if err != nil {
+		return record{}, nil, err
+	}
+	defer pool.Put(m)
+	if budget > 0 {
+		m.SetRunBudget(budget)
+	}
+	res, err := m.Call(entry, args...)
+	return record{results: res, output: append([]mem.Word(nil), m.Output...)}, m.Metrics(), err
+}
+
+// sameCounts reports whether a CallContext result carries met's executed
+// instructions, cycles and charged references.
+func sameCounts(cr *fpc.CallResult, met *core.Metrics) bool {
+	return cr.Steps == met.Instructions && cr.Cycles == met.Cycles && cr.Refs == met.ChargedRefs
 }
 
 // checkMonotone verifies the paper's speed ordering as a behavioural

@@ -118,58 +118,69 @@ func FuzzPoolReuse(f *testing.F) {
 		wantOut := append([]fpc.Word(nil), fresh.Output...)
 		total := fresh.Metrics().Instructions
 
+		// Each run is served twice, as in checkMetamorphic's Pool phase:
+		// through Get/Put, which reads its full Metrics, and through
+		// CallContext, whose counters must equal them.
 		pool := fpc.NewPoolFromImage(img)
 		runs := 2 + int(extra)
 		budget := uint64(rawBudget)
 		sum := &core.Metrics{}
 		for i := 0; i < runs; i++ {
+			b := uint64(0)
 			if i%2 == 1 {
-				// A budget-bounded run: either it completes (budget 0 means
-				// the machine default, and any budget >= total is roomy
-				// enough) or it is cut with ErrMaxSteps after exactly budget
-				// instructions.
-				cr, err := pool.CallContext(nil, entry, budget, p.Args...)
-				if cr == nil {
-					t.Fatalf("run %d: no CallResult (err=%v)", i, err)
+				b = budget
+			}
+			got, met, err := pooledRun(pool, entry, b, p.Args)
+			if met == nil {
+				t.Fatalf("run %d: no machine: %v", i, err)
+			}
+			cr, cerr := pool.CallContext(nil, entry, b, p.Args...)
+			if cr == nil {
+				t.Fatalf("run %d: no CallResult (err=%v)", i, cerr)
+			}
+			if !sameCounts(cr, met) {
+				t.Fatalf("run %d: CallContext counted %d/%d/%d, Get/Put %d/%d/%d",
+					i, cr.Steps, cr.Cycles, cr.Refs, met.Instructions, met.Cycles, met.ChargedRefs)
+			}
+			sum.Merge(met)
+			sum.Merge(met)
+			// Odd runs are budget-bounded: either they complete (budget 0
+			// means the machine default, and any budget >= total is roomy
+			// enough) or they are cut with ErrMaxSteps after exactly budget
+			// instructions. Even runs are full runs on a recycled machine and
+			// must replay the fresh run byte for byte, even right after a
+			// budget-cut run.
+			cut := i%2 == 1 && budget != 0 && budget < total
+			if cut && met.Instructions != budget {
+				t.Fatalf("run %d: cut after %d instructions, want exactly %d", i, met.Instructions, budget)
+			}
+			if i%2 == 0 && met.Instructions != total {
+				t.Fatalf("run %d: %d instructions, fresh machine had %d", i, met.Instructions, total)
+			}
+			for _, r := range []struct {
+				rec record
+				err error
+			}{{got, err}, {record{results: cr.Results, output: cr.Output}, cerr}} {
+				switch {
+				case cut:
+					if !errors.Is(r.err, fpc.ErrMaxSteps) {
+						t.Fatalf("run %d: want ErrMaxSteps under budget %d < %d, got %v", i, budget, total, r.err)
+					}
+				case r.err != nil:
+					t.Fatalf("run %d: budget %d (total %d) but err=%v", i, b, total, r.err)
+				case i%2 == 0 && !wordsEqual(r.rec.results, wantRes):
+					t.Fatalf("run %d: results %v, fresh machine had %v", i, r.rec.results, wantRes)
+				case i%2 == 0 && !wordsEqual(r.rec.output, wantOut):
+					t.Fatalf("run %d: output diverged from fresh machine", i)
 				}
-				sum.Merge(cr.Metrics)
-				if budget == 0 || budget >= total {
-					if err != nil {
-						t.Fatalf("run %d: budget %d (total %d) but err=%v", i, budget, total, err)
-					}
-				} else {
-					if !errors.Is(err, fpc.ErrMaxSteps) {
-						t.Fatalf("run %d: want ErrMaxSteps under budget %d < %d, got %v", i, budget, total, err)
-					}
-					if cr.Metrics.Instructions != budget {
-						t.Fatalf("run %d: cut after %d instructions, want exactly %d", i, cr.Metrics.Instructions, budget)
-					}
-				}
-				continue
-			}
-			// A full run on a recycled machine must replay the fresh run
-			// byte for byte, even right after a budget-cut run.
-			cr, err := pool.CallContext(nil, entry, 0, p.Args...)
-			if err != nil {
-				t.Fatalf("run %d: %v", i, err)
-			}
-			sum.Merge(cr.Metrics)
-			if !wordsEqual(cr.Results, wantRes) {
-				t.Fatalf("run %d: results %v, fresh machine had %v", i, cr.Results, wantRes)
-			}
-			if !wordsEqual(cr.Output, wantOut) {
-				t.Fatalf("run %d: output diverged from fresh machine", i)
-			}
-			if cr.Metrics.Instructions != total {
-				t.Fatalf("run %d: %d instructions, fresh machine had %d", i, cr.Metrics.Instructions, total)
 			}
 		}
-		if got := pool.Runs(); got != uint64(runs) {
-			t.Fatalf("pool.Runs() = %d, want %d", got, runs)
+		if got := pool.Runs(); got != uint64(2*runs) {
+			t.Fatalf("pool.Runs() = %d, want %d", got, 2*runs)
 		}
 		agg := pool.Metrics()
 		if !reflect.DeepEqual(agg, sum) {
-			t.Fatalf("pool aggregate %+v != sum of per-call metrics %+v", *agg, *sum)
+			t.Fatalf("pool aggregate %+v != sum of per-run metrics %+v", *agg, *sum)
 		}
 	})
 }

@@ -78,21 +78,16 @@ func (f *File) StackBank() int {
 	return -1
 }
 
-// Acquire returns a bank for a new owner. It prefers a free bank; if none
-// is free it selects the oldest frame-owning bank as the victim and
-// returns needFlush=true — the machine must write the victim's dirty words
-// to its frame before reassignment (§7.1: "the contents of the oldest bank
+// Pick chooses the bank for a new owner without assigning it. It prefers a
+// free bank; if none is free it chooses the oldest frame-owning bank as
+// the victim, whose dirty words the machine must write to its frame in
+// place before Assign clears them (§7.1: "the contents of the oldest bank
 // is written out into the frame"). The stack bank is never chosen as a
-// victim. Returns bank=-1 if banking is disabled or every bank is the
-// stack.
-func (f *File) Acquire(owner int32) (bank int, victim Bank, needFlush bool) {
-	if len(f.banks) == 0 {
-		return -1, Bank{}, false
-	}
+// victim. Returns -1 if banking is disabled or every bank is the stack.
+func (f *File) Pick() int {
 	for i := range f.banks {
 		if f.banks[i].Owner == OwnerFree {
-			f.assign(i, owner)
-			return i, Bank{}, false
+			return i
 		}
 	}
 	oldest := -1
@@ -104,16 +99,11 @@ func (f *File) Acquire(owner int32) (bank int, victim Bank, needFlush bool) {
 			oldest = i
 		}
 	}
-	if oldest == -1 {
-		return -1, Bank{}, false
-	}
-	victim = f.banks[oldest]
-	victimCopy := Bank{Words: append([]uint16(nil), victim.Words...), Dirty: victim.Dirty, Owner: victim.Owner}
-	f.assign(oldest, owner)
-	return oldest, victimCopy, true
+	return oldest
 }
 
-func (f *File) assign(i int, owner int32) {
+// Assign gives bank i to owner: zeroed, clean and the most recently used.
+func (f *File) Assign(i int, owner int32) {
 	f.clock++
 	b := &f.banks[i]
 	b.Owner = owner
@@ -122,6 +112,20 @@ func (f *File) assign(i int, owner int32) {
 	for j := range b.Words {
 		b.Words[j] = 0
 	}
+}
+
+// Acquire picks and assigns a bank for owner in one step, reporting
+// whether a frame-owning bank was evicted. It suits callers that model
+// only the assignment (trace replay, Figure 3); a caller that keeps frame
+// contents must flush the victim between Pick and Assign.
+func (f *File) Acquire(owner int32) (bank int, evicted bool) {
+	bank = f.Pick()
+	if bank < 0 {
+		return -1, false
+	}
+	evicted = f.banks[bank].Owner >= 0
+	f.Assign(bank, owner)
+	return bank, evicted
 }
 
 // Rename transfers bank i to a new owner without touching its contents —
@@ -151,21 +155,17 @@ func (f *File) Release(i int) {
 func (f *File) Read(i, off int) uint16 { return f.banks[i].Words[off] }
 
 // Write sets word off of bank i and marks it dirty.
-func (f *File) Write(i, off int, v uint16) {
-	f.banks[i].Words[off] = v
-	f.banks[i].Dirty |= 1 << uint(off)
-}
+func (f *File) Write(i, off int, v uint16) { f.banks[i].Write(off, v) }
 
-// Load fills bank i from frame contents without marking dirty (reload on
-// underflow).
-func (f *File) Load(i int, words []uint16) {
-	copy(f.banks[i].Words, words)
-	f.banks[i].Dirty = 0
+// Write sets word off of the bank and marks it dirty.
+func (b *Bank) Write(off int, v uint16) {
+	b.Words[off] = v
+	b.Dirty |= 1 << uint(off)
 }
 
 // Reset returns every bank to its power-on state: free, clean, zeroed.
 // Used when a machine is rebooted from its image snapshot; unlike
-// ReleaseAll nothing is returned for flushing, because the store is being
+// ReleaseAll no bank needs flushing first, because the store is being
 // restored wholesale.
 func (f *File) Reset() {
 	f.clock = 0
@@ -237,18 +237,12 @@ func (f *File) Restore(s State) {
 	}
 }
 
-// ReleaseAll frees every bank, returning copies of the frame-owned ones so
-// the machine can flush them (process switch / trap fallback: "all the
-// banks are flushed into storage").
-func (f *File) ReleaseAll() []Bank {
-	var out []Bank
+// ReleaseAll frees every bank (process switch / trap fallback: "all the
+// banks are flushed into storage"). The machine flushes the frame-owned
+// banks in place first.
+func (f *File) ReleaseAll() {
 	for i := range f.banks {
-		b := &f.banks[i]
-		if b.Owner >= 0 {
-			out = append(out, Bank{Words: append([]uint16(nil), b.Words...), Dirty: b.Dirty, Owner: b.Owner})
-		}
-		b.Owner = OwnerFree
-		b.Dirty = 0
+		f.banks[i].Owner = OwnerFree
+		f.banks[i].Dirty = 0
 	}
-	return out
 }

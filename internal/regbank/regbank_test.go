@@ -7,12 +7,12 @@ import (
 
 func TestAcquireFreeBanks(t *testing.T) {
 	f := New(3, 16)
-	b1, _, flushed := f.Acquire(100)
-	if b1 < 0 || flushed {
-		t.Fatalf("first acquire: %d %v", b1, flushed)
+	b1, evicted := f.Acquire(100)
+	if b1 < 0 || evicted {
+		t.Fatalf("first acquire: %d %v", b1, evicted)
 	}
-	b2, _, _ := f.Acquire(200)
-	b3, _, _ := f.Acquire(300)
+	b2, _ := f.Acquire(200)
+	b3, _ := f.Acquire(300)
 	if b1 == b2 || b2 == b3 || b1 == b3 {
 		t.Fatal("banks not distinct")
 	}
@@ -23,17 +23,27 @@ func TestAcquireFreeBanks(t *testing.T) {
 
 func TestOverflowEvictsOldestNotStack(t *testing.T) {
 	f := New(3, 16)
-	sb, _, _ := f.Acquire(OwnerStack)
+	sb, _ := f.Acquire(OwnerStack)
 	f.Acquire(100)
 	f.Acquire(200)
 	// All full; next acquisition must evict 100 (oldest frame bank), never
-	// the stack bank.
-	b, victim, flushed := f.Acquire(300)
-	if !flushed || victim.Owner != 100 {
-		t.Fatalf("victim = %+v, want owner 100", victim)
-	}
+	// the stack bank. Pick leaves the victim's contents in place for the
+	// flush; Assign then clears them.
+	b := f.Pick()
 	if b == sb {
 		t.Fatal("stack bank evicted")
+	}
+	victim := f.Get(b)
+	if victim.Owner != 100 {
+		t.Fatalf("victim = %+v, want owner 100", victim)
+	}
+	f.Write(b, 2, 0xBEEF)
+	if f.Pick() != b || victim.Words[2] != 0xBEEF || victim.Dirty != 1<<2 {
+		t.Fatal("Pick changed the bank it chose")
+	}
+	f.Assign(b, 300)
+	if victim.Owner != 300 || victim.Words[2] != 0 || victim.Dirty != 0 {
+		t.Fatalf("Assign left %+v, want a clean zeroed bank owned by 300", victim)
 	}
 	if f.StackBank() != sb {
 		t.Fatal("stack bank lost")
@@ -42,7 +52,7 @@ func TestOverflowEvictsOldestNotStack(t *testing.T) {
 
 func TestRenamePreservesContentsAndDirty(t *testing.T) {
 	f := New(2, 8)
-	b, _, _ := f.Acquire(OwnerStack)
+	b, _ := f.Acquire(OwnerStack)
 	f.Write(b, 3, 0xBEEF)
 	f.Rename(b, 500)
 	if f.Lookup(500) != b {
@@ -58,48 +68,47 @@ func TestRenamePreservesContentsAndDirty(t *testing.T) {
 
 func TestReleaseDropsContentsWithoutFlush(t *testing.T) {
 	f := New(2, 8)
-	b, _, _ := f.Acquire(42)
+	b, _ := f.Acquire(42)
 	f.Write(b, 0, 1)
 	f.Release(b)
 	if f.Lookup(42) >= 0 {
 		t.Fatal("released bank still owned")
 	}
 	// A new owner gets a zeroed bank.
-	b2, _, _ := f.Acquire(43)
+	b2, _ := f.Acquire(43)
 	if f.Read(b2, 0) != 0 {
 		t.Fatal("bank not cleared on reassignment")
 	}
 }
 
-func TestLoadClearsDirty(t *testing.T) {
+// TestAssignClearsDirty: a reload writes the frame's words straight into
+// the bank Assign handed out, so Assign must leave it clean — words read
+// back from storage are not dirty — even when the bank was dirty before.
+func TestAssignClearsDirty(t *testing.T) {
 	f := New(1, 4)
-	b, _, _ := f.Acquire(10)
+	b, _ := f.Acquire(10)
 	f.Write(b, 1, 5)
-	f.Load(b, []uint16{9, 8, 7, 6})
-	if f.Get(b).Dirty != 0 {
-		t.Fatal("reload should not mark words dirty")
+	f.Assign(b, 20)
+	bank := f.Get(b)
+	if bank.Dirty != 0 {
+		t.Fatal("reassignment should leave the bank clean")
 	}
-	if f.Read(b, 0) != 9 || f.Read(b, 3) != 6 {
-		t.Fatal("load contents wrong")
+	copy(bank.Words, []uint16{9, 8, 7, 6})
+	if bank.Dirty != 0 || f.Read(b, 0) != 9 || f.Read(b, 3) != 6 {
+		t.Fatal("in-place reload contents wrong")
 	}
 }
 
-func TestReleaseAllReturnsFrameBanksOnly(t *testing.T) {
+func TestReleaseAllFreesEveryBank(t *testing.T) {
 	f := New(4, 8)
 	f.Acquire(OwnerStack)
 	f.Acquire(1)
-	b, _, _ := f.Acquire(2)
+	b, _ := f.Acquire(2)
 	f.Write(b, 0, 77)
-	out := f.ReleaseAll()
-	if len(out) != 2 {
-		t.Fatalf("ReleaseAll returned %d banks, want the 2 frame banks", len(out))
-	}
-	for _, bk := range out {
-		if bk.Owner != 1 && bk.Owner != 2 {
-			t.Fatalf("unexpected owner %d", bk.Owner)
-		}
-		if bk.Owner == 2 && bk.Words[0] != 77 {
-			t.Fatal("flush copy lost contents")
+	f.ReleaseAll()
+	for i := 0; i < f.NumBanks(); i++ {
+		if bank := f.Get(i); bank.Owner != OwnerFree || bank.Dirty != 0 {
+			t.Fatalf("bank %d not free and clean: %+v", i, bank)
 		}
 	}
 	if f.StackBank() >= 0 || f.Lookup(1) >= 0 {
@@ -109,7 +118,7 @@ func TestReleaseAllReturnsFrameBanksOnly(t *testing.T) {
 
 func TestDisabledFile(t *testing.T) {
 	f := New(0, 16)
-	if b, _, _ := f.Acquire(1); b != -1 {
+	if b, _ := f.Acquire(1); b != -1 {
 		t.Fatal("disabled file handed out a bank")
 	}
 	if f.Lookup(1) != -1 || f.BankWords() != 0 {
@@ -119,11 +128,10 @@ func TestDisabledFile(t *testing.T) {
 
 func TestTouchProtectsRecentBank(t *testing.T) {
 	f := New(2, 8)
-	b1, _, _ := f.Acquire(100)
+	b1, _ := f.Acquire(100)
 	f.Acquire(200)
 	f.Touch(b1) // 100 becomes the most recent
-	_, victim, flushed := f.Acquire(300)
-	if !flushed || victim.Owner != 200 {
+	if victim := f.Get(f.Pick()); victim.Owner != 200 {
 		t.Fatalf("victim %+v, want 200 after touching 100", victim)
 	}
 }
@@ -137,10 +145,10 @@ func TestRandomOwnershipInvariant(t *testing.T) {
 		case 0:
 			o := int32(rng.Intn(50) * 2)
 			if f.Lookup(uint16(o)) < 0 {
-				_, victim, flushed := f.Acquire(o)
-				if flushed {
+				if victim := f.Get(f.Pick()); victim.Owner >= 0 {
 					delete(owners, victim.Owner)
 				}
+				f.Acquire(o)
 				owners[o] = true
 			}
 		case 1:
@@ -177,9 +185,9 @@ func TestBankWordsLimit(t *testing.T) {
 
 func TestReset(t *testing.T) {
 	f := New(4, 16)
-	b, _, _ := f.Acquire(OwnerStack)
+	b, _ := f.Acquire(OwnerStack)
 	f.Write(b, 3, 0xBEEF)
-	b2, _, _ := f.Acquire(0x1234)
+	b2, _ := f.Acquire(0x1234)
 	f.Write(b2, 0, 1)
 	f.Reset()
 	for i := 0; i < f.NumBanks(); i++ {

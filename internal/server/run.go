@@ -144,11 +144,7 @@ func fillRun(resp *RunResponse, cr *fpc.CallResult, runErr error) {
 	if cr != nil {
 		resp.Results = words16(cr.Results)
 		resp.Output = words16(cr.Output)
-		if cr.Metrics != nil {
-			resp.Steps = cr.Metrics.Instructions
-			resp.Cycles = cr.Metrics.Cycles
-			resp.Refs = cr.Metrics.ChargedRefs
-		}
+		resp.Steps, resp.Cycles, resp.Refs = cr.Steps, cr.Cycles, cr.Refs
 	}
 	if runErr != nil {
 		resp.Error = runErr.Error()

@@ -399,8 +399,8 @@ func (s *Server) runAdmitted(w http.ResponseWriter, r *http.Request, tn *tenantS
 	elapsed := time.Since(start)
 
 	var steps, cycles uint64
-	if cr != nil && cr.Metrics != nil {
-		steps, cycles = cr.Metrics.Instructions, cr.Metrics.Cycles
+	if cr != nil {
+		steps, cycles = cr.Steps, cr.Cycles
 	}
 	status = http.StatusOK
 	s.mu.Lock()
@@ -463,11 +463,7 @@ func fillCall(resp *CallResponse, cr *fpc.CallResult, runErr error) {
 	if cr != nil {
 		resp.Results = words16(cr.Results)
 		resp.Output = words16(cr.Output)
-		if cr.Metrics != nil {
-			resp.Steps = cr.Metrics.Instructions
-			resp.Cycles = cr.Metrics.Cycles
-			resp.Refs = cr.Metrics.ChargedRefs
-		}
+		resp.Steps, resp.Cycles, resp.Refs = cr.Steps, cr.Cycles, cr.Refs
 	}
 	if runErr != nil {
 		resp.Error = runErr.Error()

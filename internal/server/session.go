@@ -282,10 +282,8 @@ func (s *Server) runSegment(w http.ResponseWriter, r *http.Request, tn *tenantSt
 			})
 		}
 		err = m.Run()
-		res := &fpc.CallResult{
-			Output:  append([]fpc.Word(nil), m.Output...),
-			Metrics: m.Metrics(),
-		}
+		res := &fpc.CallResult{Output: append([]fpc.Word(nil), m.Output...)}
+		res.Steps, res.Cycles, res.Refs = m.Counts()
 		switch {
 		case err == nil:
 			res.Results = m.Results()
@@ -312,11 +310,7 @@ func (s *Server) finishSegment(w http.ResponseWriter, status int, tenant, id, ha
 	resp := SessionResponse{Hash: hash}
 	if cr != nil {
 		resp.Output = words16(cr.Output)
-		if cr.Metrics != nil {
-			resp.Steps = cr.Metrics.Instructions
-			resp.Cycles = cr.Metrics.Cycles
-			resp.Refs = cr.Metrics.ChargedRefs
-		}
+		resp.Steps, resp.Cycles, resp.Refs = cr.Steps, cr.Cycles, cr.Refs
 	}
 	resp.TotalSteps = resp.Steps
 	resp.Segments = 1

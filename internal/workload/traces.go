@@ -139,7 +139,7 @@ func Replay(trace []Event, rsDepth, frameBanks int) ReplayStats {
 	next := uint16(0x1000)
 	var stackBank int = -1
 	if banks > 0 {
-		stackBank, _, _ = bf.Acquire(regbank.OwnerStack)
+		stackBank, _ = bf.Acquire(regbank.OwnerStack)
 	}
 	depth := 0
 	for _, ev := range trace {
@@ -163,8 +163,8 @@ func Replay(trace []Event, rsDepth, frameBanks int) ReplayStats {
 			if banks > 0 {
 				// rename stack bank to callee, acquire a fresh stack bank
 				bf.Rename(stackBank, int32(lf))
-				b, victim, flushed := bf.Acquire(regbank.OwnerStack)
-				if flushed && victim.Owner >= 0 {
+				b, evicted := bf.Acquire(regbank.OwnerStack)
+				if evicted {
 					st.BankOverflows++
 				}
 				stackBank = b

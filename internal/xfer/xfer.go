@@ -128,7 +128,10 @@ func (s *System) Call(dest Context, args ...Value) ([]Value, error) {
 	if s.closed {
 		return nil, ErrShutdown
 	}
-	root := &Frame{sys: s, resume: make(chan []Value), started: true,
+	// The root's channel holds one record: fail and a panicking body wake
+	// the root with a send that does not block, and a context can fail
+	// before this goroutine reaches its wait below.
+	root := &Frame{sys: s, resume: make(chan []Value, 1), started: true,
 		Desc: &ProcDesc{Name: "<root>"}}
 	s.root = root
 	s.returnContext = root

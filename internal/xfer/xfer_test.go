@@ -3,6 +3,7 @@ package xfer
 import (
 	"errors"
 	"testing"
+	"time"
 )
 
 func TestSimpleCallReturn(t *testing.T) {
@@ -209,6 +210,35 @@ func TestPanicInBodySurfacesAsError(t *testing.T) {
 	_, err := s.Call(bad)
 	if err == nil {
 		t.Fatal("panic not surfaced")
+	}
+}
+
+// TestFailureBeforeRootWaits: a body that fails at once can finish before
+// the goroutine in System.Call reaches its wait; the failure must still
+// come back rather than leave Call blocked for good.
+func TestFailureBeforeRootWaits(t *testing.T) {
+	bodies := map[string]func(*Frame, []Value) []Value{
+		"panic": func(*Frame, []Value) []Value { panic("boom") },
+		"trap":  func(fr *Frame, _ []Value) []Value { fr.Trap(1); return nil },
+	}
+	for name, body := range bodies {
+		for i := 0; i < 500; i++ {
+			s := NewSystem()
+			done := make(chan error, 1)
+			go func() {
+				_, err := s.Call(&ProcDesc{Name: name, Code: body})
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if err == nil {
+					t.Fatalf("%s: failure not surfaced", name)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("%s, call %d: Call never returned", name, i)
+			}
+			s.Shutdown()
+		}
 	}
 }
 

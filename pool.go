@@ -84,14 +84,11 @@ func (p *Pool) Get() (*Machine, error) {
 
 // Put merges the machine's metrics into the pool aggregate, resets it to
 // boot state, and recycles it. The machine must have come from Get on
-// this pool.
-func (p *Pool) Put(m *Machine) { p.recycle(m, m.Metrics()) }
-
-// recycle merges mt, the machine's final metrics, into the aggregate,
-// resets the machine and returns it to the pool.
-func (p *Pool) recycle(m *Machine, mt *Metrics) {
+// this pool. The merge reads the machine's own counters under the pool's
+// lock, so it copies nothing.
+func (p *Pool) Put(m *Machine) {
 	p.mu.Lock()
-	p.agg.Merge(mt)
+	m.MergeMetricsInto(&p.agg)
 	p.runs++
 	p.mu.Unlock()
 	m.Reset()
@@ -99,15 +96,20 @@ func (p *Pool) recycle(m *Machine, mt *Metrics) {
 }
 
 // CallResult is everything one pooled run produced: the results record,
-// a copy of the output stream (the OUT instruction), and the run's own
-// detached Metrics. The Metrics are present even when the run failed —
-// a budget-cut or canceled run did real work, and the same work is merged
-// into the pool aggregate at Put time, so summing CallResult metrics over
-// every completed call reproduces Pool.Metrics exactly.
+// a copy of the output stream (the OUT instruction), and the run's
+// executed instructions, total cycles and charged references — the
+// Instructions, Cycles and ChargedRefs of its Metrics. The counters are
+// set even when the run failed: a budget-cut or canceled run did real
+// work, and the same work is merged into the pool aggregate, so summing
+// them over every completed call reproduces those three fields of
+// Pool.Metrics exactly. A caller that needs a run's full Metrics takes
+// them with Machine.Metrics between Get and Put.
 type CallResult struct {
 	Results []Word
 	Output  []Word
-	Metrics *Metrics
+	Steps   uint64
+	Cycles  uint64
+	Refs    uint64
 }
 
 // Call runs one procedure call to desc on a pooled machine and returns
@@ -128,27 +130,20 @@ func (p *Pool) Call(desc Word, args ...Word) ([]Word, error) {
 // fails with an error wrapping ErrMaxSteps) and cut when ctx is canceled
 // or its deadline passes (the error then wraps ErrCanceled). The returned
 // CallResult is non-nil whenever a machine actually ran — even on
-// failure — carrying the run's results, output and own metrics for
+// failure — carrying the run's results, output and counters for
 // per-request accounting.
 //
-// The machine is recycled (reset, clearing the per-run bounds) no matter
-// how the run ended, and the one Metrics copy the result carries is the
-// one merged into the aggregate. The recycle is deferred so even a
-// panicking run (a panicking Config.Trap handler or cancel probe) hands
-// its machine and metrics back before the panic propagates — a pooled
-// machine can never leak.
+// The machine is recycled (its metrics merged into the aggregate, then
+// reset, clearing the per-run bounds) no matter how the run ended. The
+// recycle is deferred so even a panicking run (a panicking Config.Trap
+// handler or cancel probe) hands its machine and metrics back before the
+// panic propagates — a pooled machine can never leak.
 func (p *Pool) CallContext(ctx context.Context, desc Word, budget uint64, args ...Word) (*CallResult, error) {
 	m, err := p.Get()
 	if err != nil {
 		return nil, err
 	}
-	var mt *Metrics
-	defer func() {
-		if mt == nil {
-			mt = m.Metrics()
-		}
-		p.recycle(m, mt)
-	}()
+	defer p.Put(m)
 	if budget > 0 {
 		m.SetRunBudget(budget)
 	}
@@ -156,12 +151,9 @@ func (p *Pool) CallContext(ctx context.Context, desc Word, budget uint64, args .
 		m.SetCancel(ctx.Err)
 	}
 	results, err := m.Call(desc, args...)
-	mt = m.Metrics()
-	return &CallResult{
-		Results: results,
-		Output:  append([]Word(nil), m.Output...),
-		Metrics: mt,
-	}, err
+	cr := &CallResult{Results: results, Output: append([]Word(nil), m.Output...)}
+	cr.Steps, cr.Cycles, cr.Refs = m.Counts()
+	return cr, err
 }
 
 // Metrics returns a copy of the aggregate metrics of every completed run

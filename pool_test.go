@@ -134,23 +134,23 @@ func TestPoolMetricsMerge(t *testing.T) {
 // raceEnabled is set by race_test.go in -race builds.
 var raceEnabled bool
 
-// TestPoolCallAllocs bounds the allocations of one call on a warm pool:
-// the run's own results and metrics copy, not bookkeeping that grows with
-// the request rate. fib(3) runs on a certified image, sieve(9) on the
-// checked table.
+// TestPoolCallAllocs bounds the allocations of one call on a warm pool at
+// three: the CallResult, the results record and the cancel probe bound to
+// the request's context. Nothing the engine does — bank flushes and
+// reloads, trap saves, the metrics merge — may allocate once the machine
+// has served a call. The programs are the two short calls of call-short
+// plus the 11 corpus programs at the sizes servebench's engine-mix runs
+// (engineMix), called as the server calls them: through CallContext with
+// a cancellable context.
 func TestPoolCallAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
 	}
-	for _, tc := range []struct {
-		p   *workload.Program
-		max float64
-	}{
-		{workload.Fib(3), 12},
-		{workload.Sieve(9), 8},
-	} {
-		t.Run(tc.p.Name, func(t *testing.T) {
-			prog, _, err := tc.p.Build(fpc.DefaultLinkOptions(fpc.ConfigFastCalls))
+	const max = 3
+	progs := append([]*workload.Program{workload.Fib(3), workload.Sieve(9)}, engineMix()...)
+	for _, p := range progs {
+		t.Run(p.Name, func(t *testing.T) {
+			prog, _, err := p.Build(fpc.DefaultLinkOptions(fpc.ConfigFastCalls))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -161,18 +161,19 @@ func TestPoolCallAllocs(t *testing.T) {
 			if err := pool.Warm(1); err != nil {
 				t.Fatal(err)
 			}
-			ctx := context.Background()
-			got := testing.AllocsPerRun(200, func() {
-				cr, err := pool.CallContext(ctx, prog.Entry, 0, tc.p.Args...)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			got := testing.AllocsPerRun(20, func() {
+				cr, err := pool.CallContext(ctx, prog.Entry, 0, p.Args...)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if tc.p.Want != nil && (len(cr.Results) != 1 || cr.Results[0] != *tc.p.Want) {
-					t.Fatalf("results %v, want %d", cr.Results, *tc.p.Want)
+				if p.Want != nil && (len(cr.Results) != 1 || cr.Results[0] != *p.Want) {
+					t.Fatalf("results %v, want %d", cr.Results, *p.Want)
 				}
 			})
-			if got > tc.max {
-				t.Fatalf("%.1f allocations per call, want at most %v", got, tc.max)
+			if got > max {
+				t.Fatalf("%.1f allocations per call, want at most %d", got, max)
 			}
 			t.Logf("%.1f allocations per call", got)
 		})
@@ -474,7 +475,8 @@ func TestPoolPanicRecycles(t *testing.T) {
 }
 
 // TestPoolCallContext: a context deadline cuts a runaway run with
-// ErrCanceled; the CallResult still carries the partial work's metrics.
+// ErrCanceled; the CallResult still carries the partial work's counters,
+// the same ones the pool merged into its aggregate.
 func TestPoolCallContext(t *testing.T) {
 	pool, _ := buildServingPool(t, fpc.ConfigFastCalls)
 	forever, err := pool.Image().Program().FindProc("srv", "forever")
@@ -487,11 +489,12 @@ func TestPoolCallContext(t *testing.T) {
 	if !errors.Is(err, core.ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
-	if cr == nil || cr.Metrics == nil || cr.Metrics.Instructions == 0 {
-		t.Fatalf("canceled run lost its metrics: %+v", cr)
+	if cr == nil || cr.Steps == 0 {
+		t.Fatalf("canceled run lost its counters: %+v", cr)
 	}
-	if got := pool.Metrics().Instructions; got != cr.Metrics.Instructions {
-		t.Fatalf("aggregate %d != per-call %d", got, cr.Metrics.Instructions)
+	if agg := pool.Metrics(); agg.Instructions != cr.Steps || agg.Cycles != cr.Cycles || agg.ChargedRefs != cr.Refs {
+		t.Fatalf("aggregate %d/%d/%d != per-call %d/%d/%d",
+			agg.Instructions, agg.Cycles, agg.ChargedRefs, cr.Steps, cr.Cycles, cr.Refs)
 	}
 
 	// A budget and a live context compose: the budget cuts first here.
@@ -499,8 +502,8 @@ func TestPoolCallContext(t *testing.T) {
 	if !errors.Is(err, core.ErrMaxSteps) {
 		t.Fatalf("err = %v, want ErrMaxSteps", err)
 	}
-	if cr.Metrics.Instructions != 10_000 {
-		t.Fatalf("budgeted run did %d instructions, want 10000", cr.Metrics.Instructions)
+	if cr.Steps != 10_000 {
+		t.Fatalf("budgeted run did %d instructions, want 10000", cr.Steps)
 	}
 }
 
