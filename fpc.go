@@ -105,8 +105,9 @@ var (
 	// ErrMaxSteps is wrapped by run errors when Config.MaxSteps or a
 	// per-run budget (Machine.SetRunBudget, Pool.CallContext) cuts a run.
 	ErrMaxSteps = core.ErrMaxSteps
-	// ErrCanceled is wrapped when a cancel probe (Machine.SetCancel,
-	// Pool.CallContext) stops a run.
+	// ErrCanceled is wrapped when the cancel probe stops a run: a cancel
+	// hook's error or a passed deadline (Machine.SetCancel,
+	// Machine.SetDeadline, Pool.CallContext).
 	ErrCanceled = core.ErrCanceled
 )
 

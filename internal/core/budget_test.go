@@ -1,9 +1,12 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/image"
 	"repro/internal/isa"
@@ -146,13 +149,13 @@ func TestRunCancel(t *testing.T) {
 	}
 	sentinel := errors.New("deadline blew")
 	probes := 0
-	m.SetCancel(func() error {
+	m.SetCancel(hookFunc(func() error {
 		probes++
 		if probes > 3 {
 			return sentinel
 		}
 		return nil
-	})
+	}))
 	_, err = m.Call(prog.Entry)
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
@@ -185,7 +188,7 @@ func TestRunCancelArmedMidstream(t *testing.T) {
 	}
 	armedAt := m.Metrics().Instructions
 	sentinel := errors.New("canceled now")
-	m.SetCancel(func() error { return sentinel })
+	m.SetCancel(hookFunc(func() error { return sentinel }))
 	if _, err := m.Call(prog.Entry); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled (probe skipped at unaligned count)", err)
 	}
@@ -210,18 +213,60 @@ func TestRunCancelWithinOneInterval(t *testing.T) {
 	m.SetRunBudget(0)
 	sentinel := errors.New("second probe cancels")
 	probes := 0
-	m.SetCancel(func() error {
+	m.SetCancel(hookFunc(func() error {
 		probes++
 		if probes >= 2 {
 			return sentinel
 		}
 		return nil
-	})
+	}))
 	if err := m.Run(); !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
 	// Probe 1 fires at 50 (arming), probe 2 one interval later.
 	if got := m.Metrics().Instructions; got != 50+cancelCheckInterval {
 		t.Fatalf("canceled at %d instructions, want %d", got, 50+cancelCheckInterval)
+	}
+}
+
+// hookFunc adapts a function to the machine's cancel hook.
+type hookFunc func() error
+
+func (f hookFunc) Err() error { return f() }
+
+// TestRunDeadline: a deadline alone cuts a runaway run at a probe with
+// ErrCanceled naming context.DeadlineExceeded; a deadline already past
+// cuts it at the first probe, before any instruction; the cancel hook is
+// asked before the deadline; and Reset clears the deadline.
+func TestRunDeadline(t *testing.T) {
+	prog := linkOne(t, spinModule(), "main", linker.Options{})
+	m, err := New(prog, ConfigFastCalls)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.SetDeadline(time.Now().Add(20 * time.Millisecond))
+	_, err = m.Call(prog.Entry)
+	if !errors.Is(err, ErrCanceled) || !strings.HasSuffix(err.Error(), context.DeadlineExceeded.Error()) {
+		t.Fatalf("err = %v, want ErrCanceled: context deadline exceeded", err)
+	}
+	if n := m.Metrics().Instructions; n == 0 || n%cancelCheckInterval != 0 {
+		t.Fatalf("cut after %d instructions, want a positive multiple of %d", n, cancelCheckInterval)
+	}
+
+	m.Reset()
+	if !m.deadline.IsZero() {
+		t.Fatal("Reset kept the deadline")
+	}
+	m.SetDeadline(time.Now().Add(-time.Second))
+	if _, err := m.Call(prog.Entry); !errors.Is(err, ErrCanceled) || m.Metrics().Instructions != 0 {
+		t.Fatalf("past deadline: err %v after %d instructions, want ErrCanceled after 0", err, m.Metrics().Instructions)
+	}
+
+	m.Reset()
+	sentinel := errors.New("hook first")
+	m.SetDeadline(time.Now().Add(-time.Second))
+	m.SetCancel(hookFunc(func() error { return sentinel }))
+	if _, err := m.Call(prog.Entry); !errors.Is(err, ErrCanceled) || !strings.HasSuffix(err.Error(), sentinel.Error()) {
+		t.Fatalf("err = %v, want the hook's error", err)
 	}
 }

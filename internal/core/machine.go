@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"time"
 
 	"repro/internal/frames"
 	"repro/internal/ifu"
@@ -139,11 +140,12 @@ type Machine struct {
 
 	// Per-run execution bounds (a serving layer's request budget and
 	// deadline). runBudget bounds the next Run's step count below the
-	// machine-global Config.MaxSteps; cancel, when set, is probed every
-	// cancelCheckInterval instructions, the next probe due when
-	// Instructions reaches cancelNext. Both are cleared by Reset.
+	// machine-global Config.MaxSteps. cancel and deadline, when set, are
+	// probed every cancelCheckInterval instructions, the next probe due
+	// when Instructions reaches cancelNext. All are cleared by Reset.
 	runBudget  uint64
-	cancel     func() error
+	cancel     interface{ Err() error }
+	deadline   time.Time
 	cancelNext uint64
 
 	// per-transfer cost snapshots (set before each transfer opcode)
@@ -198,6 +200,7 @@ func (m *Machine) Reset() {
 	m.snapRefs, m.snapCyc = 0, 0
 	m.runBudget = 0
 	m.cancel = nil
+	m.deadline = time.Time{}
 	m.cancelNext = 0
 	m.Output = nil
 }
@@ -213,15 +216,28 @@ func (m *Machine) SetRunBudget(steps uint64) { m.runBudget = steps }
 // RunBudget reports the current per-run budget override (0 = none).
 func (m *Machine) RunBudget() uint64 { return m.runBudget }
 
-// SetCancel installs a cancellation probe checked every
-// cancelCheckInterval executed instructions during Run, the first check
-// due immediately — arming mid-computation never waits for an aligned
-// instruction count. When the probe returns a non-nil error, Run stops
-// with that error wrapped in ErrCanceled; the machine stays in a
-// consistent state and Reset returns it to boot as usual. A nil probe
-// (the default) costs nothing on the step path. Reset clears it.
-func (m *Machine) SetCancel(probe func() error) {
-	m.cancel = probe
+// SetCancel installs the run's cancel hook: any value with an Err method,
+// such as a request's context.Context, which the hook holds as it is, so
+// installing one allocates nothing. Run calls Err every
+// cancelCheckInterval executed instructions, the first call due
+// immediately — arming mid-computation never waits for an aligned
+// instruction count. When Err returns a non-nil error, Run stops with
+// that error wrapped in ErrCanceled; the machine stays in a consistent
+// state and Reset returns it to boot as usual. A nil hook (the default)
+// costs nothing on the step path. Reset clears it.
+func (m *Machine) SetCancel(c interface{ Err() error }) {
+	m.cancel = c
+	m.cancelNext = m.metrics.Instructions
+}
+
+// SetDeadline bounds the run in wall-clock time: the cancel probe, due
+// immediately and then every cancelCheckInterval instructions, stops Run
+// with ErrCanceled wrapping context.DeadlineExceeded once the deadline
+// has passed — a request deadline that arms no timer. It is checked after
+// the cancel hook. The zero time (the default) sets no deadline. Reset
+// clears it.
+func (m *Machine) SetDeadline(t time.Time) {
+	m.deadline = t
 	m.cancelNext = m.metrics.Instructions
 }
 

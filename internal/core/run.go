@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"fmt"
+	"time"
 
 	"repro/internal/isa"
 	"repro/internal/mem"
@@ -62,16 +64,17 @@ func (m *Machine) CallNamed(module, proc string, args ...mem.Word) ([]mem.Word, 
 }
 
 // cancelCheckInterval is how often (in executed instructions) Run probes
-// the cancellation hook. A power of two so the check is a mask; at the
-// simulator's step rate the probe fires a few thousand times per second of
-// wall clock — fine-grained enough for request deadlines, cheap enough to
-// leave enabled on every serving call.
+// the cancel hook and the deadline. At the simulator's step rate the probe
+// fires about every few microseconds of wall clock — fine-grained enough
+// for request deadlines, cheap enough to leave enabled on every serving
+// call.
 const cancelCheckInterval = 1024
 
 // Run executes until the machine halts, fails, exceeds the step limit, or
-// is cut by the per-run budget or cancellation probe (SetRunBudget,
-// SetCancel). However the run ends, the machine's metrics account the work
-// actually done, and Reset still restores boot state.
+// is cut by the per-run budget, the cancel hook or the deadline
+// (SetRunBudget, SetCancel, SetDeadline). However the run ends, the
+// machine's metrics account the work actually done, and Reset still
+// restores boot state.
 //
 // The loop is the decode-once engine's fast path: the budget and cancel
 // countdowns are batched into a pause point ahead of time, so the inner
@@ -97,13 +100,14 @@ func (m *Machine) Run() error {
 			return fmt.Errorf("%w: %d", ErrMaxSteps, limit)
 		}
 		stop := limit
-		if m.cancel != nil {
+		if m.cancel != nil || !m.deadline.IsZero() {
 			if m.metrics.Instructions >= m.cancelNext {
-				// The threshold (armed by SetCancel, re-armed here) is compared
-				// with >=, so the probe cannot be skipped even if an instruction
-				// path ever advances Instructions by more than one.
+				// The threshold (armed by SetCancel or SetDeadline, re-armed
+				// here) is compared with >=, so the probe cannot be skipped
+				// even if an instruction path ever advances Instructions by
+				// more than one.
 				m.cancelNext = m.metrics.Instructions + cancelCheckInterval
-				if err := m.cancel(); err != nil {
+				if err := m.probe(); err != nil {
 					return fmt.Errorf("%w: %v", ErrCanceled, err)
 				}
 			}
@@ -129,6 +133,20 @@ func (m *Machine) Run() error {
 				return fmt.Errorf("%s at pc %06x: %w", m.prog.ProcName(m.pc), m.pc, err)
 			}
 		}
+	}
+	return nil
+}
+
+// probe reports why the run must stop, if it must: the cancel hook's
+// error, else context.DeadlineExceeded once the deadline has passed.
+func (m *Machine) probe() error {
+	if m.cancel != nil {
+		if err := m.cancel.Err(); err != nil {
+			return err
+		}
+	}
+	if !m.deadline.IsZero() && !time.Now().Before(m.deadline) {
+		return context.DeadlineExceeded
 	}
 	return nil
 }

@@ -40,6 +40,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"time"
 
 	fpc "repro"
 	"repro/internal/core"
@@ -503,13 +504,15 @@ func checkMetamorphic(p *workload.Program, name string, cfg core.Config, ref rec
 		}
 	}
 
-	// A quiet cancellation probe must not perturb results or metrics.
+	// A quiet cancel hook and a distant deadline must not perturb results
+	// or metrics.
 	probed, err := img.NewMachine()
 	if err != nil {
 		return failf(KindRun, "%s: %v", name, err)
 	}
-	probes := 0
-	probed.SetCancel(func() error { probes++; return nil })
+	var hook countingHook
+	probed.SetCancel(&hook)
+	probed.SetDeadline(time.Now().Add(time.Hour))
 	res, err = probed.Call(img.Entry(), p.Args...)
 	if err != nil {
 		return failf(KindCancel, "%s: probed run failed: %v", name, err)
@@ -518,7 +521,7 @@ func checkMetamorphic(p *workload.Program, name string, cfg core.Config, ref rec
 	if !probedRec.equal(freshRec) || !reflect.DeepEqual(probed.Metrics(), freshMet) {
 		return failf(KindCancel, "%s: armed quiet probe perturbed the run", name)
 	}
-	if probes == 0 {
+	if hook.calls == 0 {
 		return failf(KindCancel, "%s: cancel probe never fired", name)
 	}
 
@@ -539,7 +542,7 @@ func checkMetamorphic(p *workload.Program, name string, cfg core.Config, ref rec
 		if met == nil {
 			return failf(KindPool, "%s: run %d got no machine: %v", name, i, err)
 		}
-		cr, cerr := pool.CallContext(nil, img.Entry(), budget, p.Args...)
+		cr, cerr := pool.CallContext(nil, img.Entry(), budget, time.Time{}, p.Args...)
 		if cr == nil {
 			return failf(KindPool, "%s: run %d lost its CallResult (err=%v)", name, i, cerr)
 		}
@@ -592,6 +595,12 @@ func pooledRun(pool *fpc.Pool, entry mem.Word, budget uint64, args []mem.Word) (
 	res, err := m.Call(entry, args...)
 	return record{results: res, output: append([]mem.Word(nil), m.Output...)}, m.Metrics(), err
 }
+
+// countingHook is a quiet cancel hook: it counts its calls and never
+// cuts the run.
+type countingHook struct{ calls int }
+
+func (h *countingHook) Err() error { h.calls++; return nil }
 
 // sameCounts reports whether a CallContext result carries met's executed
 // instructions, cycles and charged references.

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro"
 	"repro/internal/core"
@@ -134,7 +135,7 @@ func FuzzPoolReuse(f *testing.F) {
 			if met == nil {
 				t.Fatalf("run %d: no machine: %v", i, err)
 			}
-			cr, cerr := pool.CallContext(nil, entry, b, p.Args...)
+			cr, cerr := pool.CallContext(nil, entry, b, time.Time{}, p.Args...)
 			if cr == nil {
 				t.Fatalf("run %d: no CallResult (err=%v)", i, cerr)
 			}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	fpc "repro"
 	"repro/internal/snapshot"
@@ -67,7 +68,7 @@ func BenchmarkRegistryHitCall(b *testing.B) {
 		if err != nil || !hit {
 			b.Fatal(err)
 		}
-		if _, err := e.Pool().CallContext(context.Background(), e.Image().Entry(), 5_000_000, 15); err != nil {
+		if _, err := e.Pool().CallContext(context.Background(), e.Image().Entry(), 5_000_000, time.Time{}, 15); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -101,7 +102,7 @@ func BenchmarkColdSubmitCall(b *testing.B) {
 		if err != nil || hit {
 			b.Fatal(err)
 		}
-		if _, err := e.Pool().CallContext(context.Background(), e.Image().Entry(), 5_000_000, 15); err != nil {
+		if _, err := e.Pool().CallContext(context.Background(), e.Image().Entry(), 5_000_000, time.Time{}, 15); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -135,18 +136,18 @@ func TestPoolMetricsMerge(t *testing.T) {
 var raceEnabled bool
 
 // TestPoolCallAllocs bounds the allocations of one call on a warm pool at
-// three: the CallResult, the results record and the cancel probe bound to
-// the request's context. Nothing the engine does — bank flushes and
-// reloads, trap saves, the metrics merge — may allocate once the machine
-// has served a call. The programs are the two short calls of call-short
-// plus the 11 corpus programs at the sizes servebench's engine-mix runs
-// (engineMix), called as the server calls them: through CallContext with
-// a cancellable context.
+// two: the CallResult and the results record. Nothing the engine does —
+// bank flushes and reloads, trap saves, the metrics merge, the cancel
+// probe watching the context and the deadline — may allocate once the
+// machine has served a call. The programs are the two short calls of
+// call-short plus the 11 corpus programs at the sizes servebench's
+// engine-mix runs (engineMix), called as the server calls them: through
+// CallContext with a cancellable context and a deadline.
 func TestPoolCallAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
 	}
-	const max = 3
+	const max = 2
 	progs := append([]*workload.Program{workload.Fib(3), workload.Sieve(9)}, engineMix()...)
 	for _, p := range progs {
 		t.Run(p.Name, func(t *testing.T) {
@@ -164,7 +165,7 @@ func TestPoolCallAllocs(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			got := testing.AllocsPerRun(20, func() {
-				cr, err := pool.CallContext(ctx, prog.Entry, 0, p.Args...)
+				cr, err := pool.CallContext(ctx, prog.Entry, 0, time.Now().Add(time.Minute), p.Args...)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -292,7 +293,7 @@ proc main(n) { out(n); out(n+1); return n; }
 		t.Fatal(err)
 	}
 	for i := fpc.Word(1); i <= 3; i++ {
-		cr, err := pool.CallContext(context.Background(), prog.Entry, 0, i)
+		cr, err := pool.CallContext(context.Background(), prog.Entry, 0, time.Time{}, i)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -328,7 +329,7 @@ func TestPoolCallBudgetRunaway(t *testing.T) {
 				t.Fatal(err)
 			}
 			const budget = 50_000
-			if _, err := pool.CallContext(context.Background(), forever, budget); !errors.Is(err, core.ErrMaxSteps) {
+			if _, err := pool.CallContext(context.Background(), forever, budget, time.Time{}); !errors.Is(err, core.ErrMaxSteps) {
 				t.Fatalf("err = %v, want ErrMaxSteps", err)
 			}
 			if got := pool.Metrics().Instructions; got != budget {
@@ -474,31 +475,51 @@ func TestPoolPanicRecycles(t *testing.T) {
 	}
 }
 
-// TestPoolCallContext: a context deadline cuts a runaway run with
-// ErrCanceled; the CallResult still carries the partial work's counters,
-// the same ones the pool merged into its aggregate.
+// TestPoolCallContext: a context deadline, a deadline alone and a
+// canceled context each cut a runaway run with ErrCanceled naming the
+// cause; the CallResult still carries the partial work's counters, the
+// same ones the pool merged into its aggregate.
 func TestPoolCallContext(t *testing.T) {
 	pool, _ := buildServingPool(t, fpc.ConfigFastCalls)
 	forever, err := pool.Image().Program().FindProc("srv", "forever")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
-	defer cancel()
-	cr, err := pool.CallContext(ctx, forever, 0)
-	if !errors.Is(err, core.ErrCanceled) {
-		t.Fatalf("err = %v, want ErrCanceled", err)
-	}
-	if cr == nil || cr.Steps == 0 {
-		t.Fatalf("canceled run lost its counters: %+v", cr)
-	}
-	if agg := pool.Metrics(); agg.Instructions != cr.Steps || agg.Cycles != cr.Cycles || agg.ChargedRefs != cr.Refs {
-		t.Fatalf("aggregate %d/%d/%d != per-call %d/%d/%d",
-			agg.Instructions, agg.Cycles, agg.ChargedRefs, cr.Steps, cr.Cycles, cr.Refs)
+	timeout, cancelTimeout := context.WithTimeout(context.Background(), 30*time.Millisecond)
+	defer cancelTimeout()
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	var steps, cycles, refs uint64
+	for _, c := range []struct {
+		name  string
+		ctx   context.Context
+		after time.Duration // the deadline, from the call; 0 sets none
+		cause error
+	}{
+		{"context deadline", timeout, 0, context.DeadlineExceeded},
+		{"deadline alone", context.Background(), 30 * time.Millisecond, context.DeadlineExceeded},
+		{"canceled context", canceled, time.Hour, context.Canceled},
+	} {
+		var deadline time.Time
+		if c.after > 0 {
+			deadline = time.Now().Add(c.after)
+		}
+		cr, err := pool.CallContext(c.ctx, forever, 0, deadline)
+		if !errors.Is(err, core.ErrCanceled) || !strings.HasSuffix(err.Error(), c.cause.Error()) {
+			t.Fatalf("%s: err = %v, want ErrCanceled: %v", c.name, err, c.cause)
+		}
+		if cr == nil || (cr.Steps == 0) != (c.cause == context.Canceled) {
+			t.Fatalf("%s: counters %+v; only a context canceled before the run ends it at the first probe", c.name, cr)
+		}
+		steps, cycles, refs = steps+cr.Steps, cycles+cr.Cycles, refs+cr.Refs
+		if agg := pool.Metrics(); agg.Instructions != steps || agg.Cycles != cycles || agg.ChargedRefs != refs {
+			t.Fatalf("%s: aggregate %d/%d/%d != summed per-call %d/%d/%d",
+				c.name, agg.Instructions, agg.Cycles, agg.ChargedRefs, steps, cycles, refs)
+		}
 	}
 
 	// A budget and a live context compose: the budget cuts first here.
-	cr, err = pool.CallContext(context.Background(), forever, 10_000)
+	cr, err := pool.CallContext(context.Background(), forever, 10_000, time.Now().Add(time.Hour))
 	if !errors.Is(err, core.ErrMaxSteps) {
 		t.Fatalf("err = %v, want ErrMaxSteps", err)
 	}
@@ -516,7 +537,7 @@ func TestPoolCallNamedOutput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cr, err := pool.CallContext(context.Background(), emit, 0, 7)
+	cr, err := pool.CallContext(context.Background(), emit, 0, time.Time{}, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
