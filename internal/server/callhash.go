@@ -40,7 +40,7 @@ func (s *Server) handleCallHash(w http.ResponseWriter, r *http.Request) {
 	ent, ok := s.reg.Lookup(hash)
 	if !ok {
 		s.countShed(&s.c.notFound)
-		writeJSON(w, http.StatusNotFound, &RunResponse{
+		writeRun(w, http.StatusNotFound, &RunResponse{
 			Error: "no cached image for this hash; submit it through /run",
 		})
 		return
@@ -63,5 +63,5 @@ func (s *Server) handleCallHash(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := RunResponse{Hash: ent.Hash(), Cached: true, Certified: ent.Certified(), CertReasons: certReasons(ent)}
 	fillRun(&resp, cr, runErr)
-	writeJSON(w, status, &resp)
+	writeRun(w, status, &resp)
 }

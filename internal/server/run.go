@@ -136,14 +136,13 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := RunResponse{Hash: ent.Hash(), Cached: cached, Certified: ent.Certified(), CertReasons: certReasons(ent)}
 	fillRun(&resp, cr, runErr)
-	writeJSON(w, status, &resp)
+	writeRun(w, status, &resp)
 }
 
-// fillRun copies a run's artifacts into a /run-shaped response.
+// fillRun puts a run's artifacts into a /run-shaped response.
 func fillRun(resp *RunResponse, cr *fpc.CallResult, runErr error) {
 	if cr != nil {
-		resp.Results = words16(cr.Results)
-		resp.Output = words16(cr.Output)
+		resp.Results, resp.Output = cr.Results, cr.Output
 		resp.Steps, resp.Cycles, resp.Refs = cr.Steps, cr.Cycles, cr.Refs
 	}
 	if runErr != nil {
@@ -164,7 +163,7 @@ func (s *Server) rejectVerify(w http.ResponseWriter, verr *core.VerifyError) {
 	for _, d := range verr.Report.Diags {
 		resp.Diagnostics = append(resp.Diagnostics, d.String())
 	}
-	writeJSON(w, http.StatusBadRequest, &resp)
+	writeRun(w, http.StatusBadRequest, &resp)
 }
 
 // convertArgs converts request integers to 16-bit machine words, accepting
@@ -188,12 +187,4 @@ func (s *Server) clampBudget(b uint64) uint64 {
 		b = s.cfg.MaxBudget
 	}
 	return b
-}
-
-func words16(ws []fpc.Word) []uint16 {
-	out := make([]uint16, len(ws))
-	for i, w := range ws {
-		out[i] = uint16(w)
-	}
-	return out
 }
