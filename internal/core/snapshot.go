@@ -197,8 +197,9 @@ func (m *Machine) Snapshot() (*Continuation, error) {
 //
 // Counters start from zero: the resumed segment's Metrics account only the
 // work after resumption (merge with the continuation's Metrics for the
-// whole computation), while Output is cumulative. The per-run budget and
-// cancel probe are cleared like any Reset; arm them after Restore.
+// whole computation), while Output is cumulative. The per-run budget,
+// cancel hook and deadline are cleared like any Reset; arm them after
+// Restore.
 func (m *Machine) Restore(c *Continuation) error {
 	if m.prog == nil {
 		return ErrNotBooted
