@@ -38,9 +38,9 @@ sched-smoke:
 # Differential fuzzing smoke: a deterministic 2000-seed sweep through the
 # four-way differential oracle (cmd/fpcfuzz), then a short coverage-guided
 # shift on each native fuzz target. FuzzVerify feeds the verifier mutated
-# code bytes and data words; FuzzBuild feeds arbitrary bytes as module
-# source through the build path and a verifying registry. Longer
-# campaigns: raise -n / -fuzztime.
+# code bytes and data words and runs every mutant it admits; FuzzBuild
+# feeds arbitrary bytes as module source through the build path and a
+# verifying registry. Longer campaigns: raise -n / -fuzztime.
 fuzz-smoke:
 	$(GO) run ./cmd/fpcfuzz -n 2000
 	$(GO) test -fuzz=FuzzDifferential -fuzztime=30s -run '^$$' ./internal/difffuzz
@@ -49,16 +49,11 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzVerify -fuzztime=30s -run '^$$' ./internal/difffuzz
 	$(GO) test -fuzz=FuzzBuild -fuzztime=30s -run '^$$' ./internal/difffuzz
 
-# Verifier soundness smoke: sweep seeds 0..19999 through the differential
+# Verifier admission sweep: seeds 0..19999 through the differential
 # oracle, which also checks that (a) every generated program is admitted
-# by the static verifier under both linkage policies, (b) no run of a
-# program with certified stack bounds raises a stack fault and (c) Reset
-# returns a used machine to its boot memory and allocator state. certfrac
-# then re-measures the certified fraction over seeds 0..9999 and fails the
-# run if it regressed below the fraction recorded in
-# scripts/certfrac/ratchet.json.
+# by the static verifier under both linkage policies and (b) Reset
+# returns a used machine to its boot memory and allocator state.
 verify-corpus:
 	$(GO) run ./cmd/fpcfuzz -n 20000
-	$(GO) run ./scripts/certfrac -n 10000 -check
 
 check: build vet test race

@@ -311,6 +311,29 @@ func BenchmarkServeCallShort(b *testing.B) {
 	}
 }
 
+// BenchmarkVerify times the link-time verifier alone, as a first-sight
+// /run pays it: fpc.Verify over RandomProgram seeds 0-2999, each built
+// beforehand under both linkages, one program per op.
+func BenchmarkVerify(b *testing.B) {
+	var progs []*fpc.Program
+	for seed := int64(0); seed < 3000; seed++ {
+		for _, early := range []bool{false, true} {
+			prog, _, err := workload.RandomProgram(seed).Build(fpc.LinkOptions{EarlyBind: early})
+			if err != nil {
+				b.Fatal(err)
+			}
+			progs = append(progs, prog)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !fpc.Verify(progs[i%len(progs)]).Admitted() {
+			b.Fatalf("program %d rejected", i%len(progs))
+		}
+	}
+}
+
 // benchRecorder is a reusable http.ResponseWriter that keeps no header
 // snapshot, so it adds no allocation to the request it records.
 type benchRecorder struct {

@@ -125,11 +125,7 @@ func main() {
 			fatal(err)
 		}
 		pool = fpc.NewPoolFromImage(img)
-		if img.Certified() {
-			fmt.Println("fpcd: program verified, stack bounds certified")
-		} else {
-			fmt.Println("fpcd: program verified")
-		}
+		fmt.Println("fpcd: program verified")
 	} else {
 		pool, err = fpc.NewPool(prog, cfg)
 		if err != nil {

@@ -146,8 +146,8 @@ func LoadImage(prog *Program, cfg Config) (*LoadedImage, error) {
 }
 
 // VerifyReport is the static verifier's structured result: per-pc
-// diagnostics with reason codes, per-procedure stack summaries, the
-// conservative call graph, and the stack-bounds certificate.
+// diagnostics with reason codes and the per-pc stack-depth bounds
+// (DepthAt).
 type VerifyReport = verify.Report
 
 // VerifyError is returned by LoadImageVerified for a rejected program.
@@ -162,16 +162,15 @@ type VerifyError = core.VerifyError
 func ContentHash(prog *Program) string { return prog.ContentHash() }
 
 // Verify runs the link-time verifier over a linked program without
-// loading it. The report says whether the program is admitted and whether
-// its evaluation-stack bounds are certified.
+// loading it. The report says whether the program is admitted: no
+// reachable instruction definitely faults or reads broken linkage.
 func Verify(prog *Program) *VerifyReport {
 	return verify.Program(prog)
 }
 
 // LoadImageVerified is LoadImage behind the verifier: a rejected program
-// fails with a *VerifyError (inspect its Report), and an admitted program's
-// image keeps the report (LoadedImage.Certified reports its stack-bounds
-// certificate).
+// fails with a *VerifyError (inspect its Report), and an admitted program
+// loads exactly as LoadImage would load it.
 func LoadImageVerified(prog *Program, cfg Config) (*LoadedImage, error) {
 	return core.LoadImage(prog, cfg, core.WithVerify())
 }

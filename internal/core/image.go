@@ -33,14 +33,6 @@ type LoadedImage struct {
 	// built once here and shared read-only by every machine (the
 	// decode-once engine's input; see isa.Predecode).
 	insts []isa.Inst
-
-	// report is the static verifier's result when WithVerify was requested
-	// (nil otherwise). certified records the verifier's stack-bounds
-	// certificate for reporting; it requires no Go-level trap hook too (a
-	// cfg.Trap callback may resume a trapping instruction with machine
-	// state the static analysis never saw).
-	report    *verify.Report
-	certified bool
 }
 
 // LoadOption configures LoadImage.
@@ -49,9 +41,10 @@ type LoadOption func(*loadOpts)
 type loadOpts struct{ verify bool }
 
 // WithVerify makes LoadImage run the static verifier over the program
-// before accepting it. A program the verifier rejects fails the load with a
-// *VerifyError carrying the full report. The report is kept with the
-// image, and Certified reports its stack-bounds certificate.
+// before accepting it: admission is all it decides. A program the verifier
+// rejects fails the load with a *VerifyError carrying the full report; an
+// admitted image keeps nothing of it and runs the same checked dispatch
+// table as any other.
 func WithVerify() LoadOption {
 	return func(o *loadOpts) { o.verify = true }
 }
@@ -101,8 +94,6 @@ func LoadImage(prog *image.Program, cfg Config, opts ...LoadOption) (*LoadedImag
 		if !rep.Admitted() {
 			return nil, &VerifyError{Report: rep}
 		}
-		img.report = rep
-		img.certified = rep.CertStackBounds && cfg.Trap == nil
 	}
 	insts, err := isa.Predecode(prog.Code)
 	if err != nil {
@@ -160,16 +151,12 @@ func (img *LoadedImage) Entry() mem.Word { return img.prog.Entry }
 // machine booted over this image.
 func (img *LoadedImage) Insts() []isa.Inst { return img.insts }
 
-// VerifyReport returns the static verifier's report, or nil when the image
-// was loaded without WithVerify.
-func (img *LoadedImage) VerifyReport() *verify.Report { return img.report }
-
-// Certified reports whether the verifier proved this image's
-// evaluation-stack bounds: the stack-bounds certificate is held and no trap
-// hook is installed. It reports the certificate and selects nothing; every
-// image runs the same checked handler table, whose stack checks are
-// inlined compares.
-func (img *LoadedImage) Certified() bool { return img.certified }
+// Certified reports false for every image: the verifier decides admission
+// and grants no certificate.
+//
+// Deprecated: the stack-bounds certificate is gone; every image runs the
+// same checked dispatch table.
+func (img *LoadedImage) Certified() bool { return false }
 
 // ResetElide reports false for every image: Machine.Reset has one path.
 //

@@ -503,9 +503,10 @@ func (m *Machine) ensureCodeBase() error {
 
 // allocFrame allocates a frame of class fsi, using the free-frame stack
 // for standard-size requests when enabled. It returns the frame and the
-// class it actually is.
+// class it actually is. A class past the size table, read where a bad
+// descriptor points, goes to the allocator, which refuses it.
 func (m *Machine) allocFrame(fsi int) (mem.Addr, int16, error) {
-	if m.stdFSI >= 0 && m.heap.SizeOf(fsi) <= m.heap.SizeOf(m.stdFSI) {
+	if m.stdFSI >= 0 && fsi < m.heap.Classes() && m.heap.SizeOf(fsi) <= m.heap.SizeOf(m.stdFSI) {
 		if n := len(m.freeFrames); n > 0 {
 			lf := m.freeFrames[n-1]
 			m.freeFrames = m.freeFrames[:n-1]

@@ -189,10 +189,12 @@ func FuzzPoolReuse(f *testing.F) {
 // FuzzVerify feeds the static verifier linked images whose bytes the
 // compiler did not write: a generated program (seed modulo 400, either
 // linkage) with code bytes and data words overwritten from the fuzz input
-// (see mutate). The verifier must never panic, and no run of a certified
-// mutant may raise a stack fault. The checked-in seeds each overwrite one
-// linkage word that the verifier holds to the instance metadata
-// (internal/verify/linkage.go).
+// (see mutate). The verifier must never panic, and every run of an
+// admitted mutant must end in results or a machine error, never a Go
+// panic. The checked-in linkage-* seeds each overwrite one linkage word
+// that the verifier holds to the instance metadata
+// (internal/verify/linkage.go); the other two are admitted mutants that
+// once panicked the machine.
 //
 //	go test -fuzz=FuzzVerify ./internal/difffuzz -fuzztime=30s
 func FuzzVerify(f *testing.F) {
@@ -236,7 +238,7 @@ func FuzzBuild(f *testing.F) {
 	})
 }
 
-// mutantSteps caps every run of a certified mutant: overwritten bytes can
+// mutantSteps caps every run of an admitted mutant: overwritten bytes can
 // turn any loop infinite.
 const mutantSteps = 200_000
 
@@ -273,11 +275,10 @@ func mutate(prog *image.Program, muts []byte) *image.Program {
 
 // checkMutant is the verifier's hostile-input oracle. It builds
 // RandomProgram(seed) under the given linkage, applies mutate, and
-// verifies the result. The verifier must not panic, and when it grants
-// the stack-bounds certificate, the mutant's runs on the Mesa and
-// FastCalls machines under a step cap must never raise a stack fault
-// (checkCertifiedRun): the certificate has to hold for bytes the compiler
-// did not write.
+// verifies the result; the verifier must not panic. An admitted mutant
+// then runs on the Mesa and FastCalls machines under a step cap, and each
+// run must end in results or a machine error, never a Go panic: admission
+// has to hold for bytes the compiler did not write.
 func checkMutant(seed int64, early bool, muts []byte) error {
 	p := workload.RandomProgram(seed)
 	built, _, err := p.Build(linker.Options{EarlyBind: early})
@@ -289,7 +290,7 @@ func checkMutant(seed int64, early bool, muts []byte) error {
 	if err != nil {
 		return err
 	}
-	if !rep.CertStackBounds {
+	if !rep.Admitted() {
 		return nil
 	}
 	for _, c := range []struct {
@@ -299,18 +300,26 @@ func checkMutant(seed int64, early bool, muts []byte) error {
 		cfg := c.cfg
 		cfg.HeapCheck = true
 		cfg.MaxSteps = mutantSteps
-		img, err := core.LoadImage(prog, cfg, core.WithVerify())
-		var verr *core.VerifyError
-		switch {
-		case errors.As(err, &verr) || (err == nil && !img.Certified()):
-			return failf(KindCertify, "%s early=%v: certificate granted but verified load gave %v", c.name, early, err)
-		case err != nil:
+		img, err := core.LoadImage(prog, cfg)
+		if err != nil {
 			return nil // the loader refuses the mutant outright
 		}
 		name := fmt.Sprintf("%s seed=%d mutant=%x", c.name, seed, muts)
-		if err := checkCertifiedRun(name, early, img, p); err != nil {
+		if err := runNoPanic(name, early, img, p); err != nil {
 			return err
 		}
 	}
+	return nil
+}
+
+// runNoPanic runs p on a fresh machine over img. Results and machine
+// errors both pass; a Go panic fails the oracle.
+func runNoPanic(name string, early bool, img *core.LoadedImage, p *workload.Program) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = failf(KindPanic, "%s early=%v: admitted run panicked: %v", name, early, r)
+		}
+	}()
+	runFresh(img, p)
 	return nil
 }

@@ -239,6 +239,11 @@ func (h *Heap) Alloc(fsi int) (mem.Addr, error) {
 	} else {
 		h.stats.FastAllocs++
 	}
+	if head&1 != 0 {
+		// A program store rewrote the list head or a free frame's link:
+		// frame bodies are even-aligned.
+		return 0, fmt.Errorf("%w: class %d free list holds %04x", ErrBadFree, fsi, head)
+	}
 	next := h.m.Read(head) // ref 2: next pointer lives in the free frame's first word
 	h.m.Write(av, next)    // ref 3
 	h.stats.Live++

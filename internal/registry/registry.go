@@ -9,12 +9,12 @@
 // This is the paper's founding observation applied one level up: PR 1-5
 // amortized transfer, decode and verification cost across the calls of one
 // image; the registry amortizes the whole load path across submissions.
-// The isolation contract that makes cross-tenant sharing safe is the
-// verifier's (StkTokens-style): a CertStackBounds certificate is a static
-// well-bracketing guarantee about the program bytes themselves, so it
-// holds for every tenant's runs over the shared image, while per-run step
-// budgets and the machine-per-run pool discipline bound a hostile program
-// to its own resources.
+// Cross-tenant sharing is safe because the image is immutable and every
+// run checks its own stack: the machine checks every push and pop, and
+// per-run step budgets and the machine-per-run pool discipline bound a
+// hostile program to its own resources. The verifier (Config.Verify)
+// keeps out programs that definitely fault or whose linkage words
+// disagree with the linker's metadata.
 //
 // Concurrency: Submit is safe from any number of goroutines. First sight
 // of a hash is single-flight — concurrent submitters of the same program
@@ -43,8 +43,8 @@ type Config struct {
 	// serves one machine configuration, like one fpcd process).
 	Machine fpc.Config
 	// Verify gates admission on the link-time verifier: rejected programs
-	// are never cached and cost zero machine steps. An admitted program's
-	// image carries the verifier's report, shared by every tenant.
+	// are never cached and cost zero machine steps. Admission is all it
+	// decides; an admitted image loads as an unverified one would.
 	Verify bool
 	// MemoryBudget bounds resident image bytes (image footprint plus warm
 	// machines), LRU-evicting beyond it. <=0 selects 256 MiB. A pinned or
@@ -86,20 +86,18 @@ type Stats struct {
 	Evictions      uint64 // entries LRU- or explicitly evicted
 	NotFound       uint64 // lookups of hashes not resident
 	VerifyRejected uint64 // loads the verifier refused (never cached)
-	// Admission split of the verified loads that were cached: Certified
-	// counts images holding the verifier's stack-bounds certificate, also
-	// kept as CertifiedByCert["stack_bounds"], the map's one key.
-	// Uncertified counts the images admitted without it, and
-	// UncertifiedByReason keys their CertReasons codes; one image can
-	// count under several reasons.
-	Certified           uint64
-	CertifiedByCert     map[string]uint64
-	Uncertified         uint64
-	UncertifiedByReason map[string]uint64
-	Resident            int   // images currently resident (including pinned)
-	Pinned              int   // resident images exempt from eviction
-	MemoryBytes         int64 // accounted bytes of resident images + warm machines
-	MemoryBudget        int64
+	Resident       int    // images currently resident (including pinned)
+	Pinned         int    // resident images exempt from eviction
+	MemoryBytes    int64  // accounted bytes of resident images + warm machines
+	MemoryBudget   int64
+
+	// Certified is always zero.
+	//
+	// Deprecated: the verifier grants no certificate; it only admits or
+	// rejects. CertifiedByCert and Uncertified are deprecated with it.
+	Certified       uint64
+	CertifiedByCert map[string]uint64 // Deprecated: always nil.
+	Uncertified     uint64            // Deprecated: always zero.
 }
 
 // Entry is one resident program: the shared verified image and its warm
@@ -134,10 +132,6 @@ func (e *Entry) Image() *fpc.LoadedImage { return e.img }
 
 // Pool returns the entry's warm machine pool.
 func (e *Entry) Pool() *fpc.Pool { return e.pool }
-
-// Certified reports whether the verifier proved this entry's
-// evaluation-stack bounds (LoadedImage.Certified).
-func (e *Entry) Certified() bool { return e.img.Certified() }
 
 // Bytes returns the memory the entry is accounted at.
 func (e *Entry) Bytes() int64 { return e.bytes }
@@ -322,23 +316,6 @@ func (r *Registry) submit(hash, srcKey string, build func() (*fpc.Program, error
 	r.mu.Lock()
 	ent.img = img
 	ent.pool = pool
-	if rep := img.VerifyReport(); rep != nil {
-		if rep.CertStackBounds {
-			r.stats.Certified++
-			if r.stats.CertifiedByCert == nil {
-				r.stats.CertifiedByCert = map[string]uint64{}
-			}
-			r.stats.CertifiedByCert["stack_bounds"]++
-		} else {
-			r.stats.Uncertified++
-			if r.stats.UncertifiedByReason == nil {
-				r.stats.UncertifiedByReason = map[string]uint64{}
-			}
-			for _, reason := range rep.CertReasons() {
-				r.stats.UncertifiedByReason[reason]++
-			}
-		}
-	}
 	ent.bytes = img.MemoryFootprint() + int64(r.cfg.WarmMachines)*img.MachineFootprint()
 	r.mem += ent.bytes
 	evicted := r.evictLocked(ent)
@@ -498,18 +475,6 @@ func (r *Registry) Stats() Stats {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	s := r.stats
-	if len(r.stats.UncertifiedByReason) > 0 {
-		s.UncertifiedByReason = make(map[string]uint64, len(r.stats.UncertifiedByReason))
-		for k, v := range r.stats.UncertifiedByReason {
-			s.UncertifiedByReason[k] = v
-		}
-	}
-	if len(r.stats.CertifiedByCert) > 0 {
-		s.CertifiedByCert = make(map[string]uint64, len(r.stats.CertifiedByCert))
-		for k, v := range r.stats.CertifiedByCert {
-			s.CertifiedByCert[k] = v
-		}
-	}
 	s.Resident = r.residentLocked()
 	s.MemoryBytes = r.mem
 	s.MemoryBudget = r.cfg.MemoryBudget

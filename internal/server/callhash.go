@@ -61,7 +61,7 @@ func (s *Server) handleCallHash(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	resp := RunResponse{Hash: ent.Hash(), Cached: true, Certified: ent.Certified(), CertReasons: certReasons(ent)}
+	resp := RunResponse{Hash: ent.Hash(), Cached: true}
 	fillRun(&resp, cr, runErr)
 	writeRun(w, status, &resp)
 }

@@ -53,12 +53,6 @@ func appendRunResponse(b []byte, r *RunResponse) []byte {
 		b = appendString(append(b, `,"hash":`...), r.Hash)
 	}
 	b = strconv.AppendBool(append(b, `,"cached":`...), r.Cached)
-	if r.Certified {
-		b = append(b, `,"certified":true`...)
-	}
-	if len(r.CertReasons) > 0 {
-		b = appendStrings(append(b, `,"certReasons":`...), r.CertReasons)
-	}
 	if r.Error != "" {
 		b = appendString(append(b, `,"error":`...), r.Error)
 	}

@@ -16,7 +16,7 @@ import (
 // copies as it is.
 var fragments = []string{
 	"", "a", "srv.forever at pc 000123", "0123456789abcdef",
-	"core: run canceled: context deadline exceeded", "maybe-overflow",
+	"core: run canceled: context deadline exceeded", "stack-overflow",
 	"<", ">", "&", `"`, `\`, "/", "'", "\x00", "\x01", "\x08", "\t", "\n",
 	"\f", "\r", "\x1b", "\x1f", " ", "~", "\x7f",
 	"\xff", "\xfe", "\xc3", "\xc3\x28", "\xe2\x82", "\xed\xa0\x80", "\xf0\x9f\x98",
@@ -76,7 +76,7 @@ func TestAppendRunResponse(t *testing.T) {
 			Results: genWords(rng), Output: genWords(rng),
 			Steps: genCount(rng), Cycles: genCount(rng), Refs: genCount(rng),
 			Hash: genString(rng), Cached: rng.Intn(2) == 0, Certified: rng.Intn(2) == 0,
-			CertReasons: genStrings(rng), Error: genString(rng), Diagnostics: genStrings(rng),
+			Error: genString(rng), Diagnostics: genStrings(rng),
 		}
 		want.Reset()
 		if err := json.NewEncoder(&want).Encode(&r); err != nil {
@@ -95,7 +95,7 @@ func TestWriteRun(t *testing.T) {
 	for _, r := range []RunResponse{
 		{Results: []uint16{2}, Steps: 52, Cycles: 300, Refs: 40, Hash: "ab12", Cached: true, Certified: true},
 		{Error: "no cached image for this hash; submit it through /run"},
-		{Error: "program rejected by verifier", Diagnostics: []string{`pc 0003: "x" <maybe-overflow>`}},
+		{Error: "program rejected by verifier", Diagnostics: []string{`pc 0003: "x" <stack-overflow>`}},
 	} {
 		got, want := httptest.NewRecorder(), httptest.NewRecorder()
 		writeRun(got, http.StatusGatewayTimeout, &r)

@@ -95,21 +95,6 @@ func (s *Server) writeMetrics(w io.Writer) {
 	counter("fpc_registry_evictions_total", "Cached images evicted (LRU memory budget, image cap, or explicit).", rs.Evictions)
 	counter("fpc_registry_not_found_total", "Hash lookups of images not resident (never submitted or evicted).", rs.NotFound)
 	counter("fpc_registry_verify_rejected_total", "Loads refused by the link-time verifier (never cached).", rs.VerifyRejected)
-	fmt.Fprintf(w, "# HELP fpc_verify_certified_total Admitted images granted the verifier's stack-bounds certificate (proved evaluation-stack bounds).\n# TYPE fpc_verify_certified_total counter\n")
-	fmt.Fprintf(w, "fpc_verify_certified_total{cert=\"stack_bounds\"} %d\n", rs.CertifiedByCert["stack_bounds"])
-	fmt.Fprintf(w, "# HELP fpc_verify_uncertified_total Admitted images denied the certificate, by verifier reason code (one image may count under several reasons).\n# TYPE fpc_verify_uncertified_total counter\n")
-	if len(rs.UncertifiedByReason) == 0 {
-		fmt.Fprintf(w, "fpc_verify_uncertified_total{reason=\"none\"} 0\n")
-	} else {
-		reasons := make([]string, 0, len(rs.UncertifiedByReason))
-		for reason := range rs.UncertifiedByReason {
-			reasons = append(reasons, reason)
-		}
-		sort.Strings(reasons)
-		for _, reason := range reasons {
-			fmt.Fprintf(w, "fpc_verify_uncertified_total{reason=%q} %d\n", reason, rs.UncertifiedByReason[reason])
-		}
-	}
 	gauge("fpc_registry_resident_images", "Images currently resident (including the pinned boot image).", float64(rs.Resident))
 	gauge("fpc_registry_memory_bytes", "Accounted bytes of resident images and their warm machines.", float64(rs.MemoryBytes))
 	gauge("fpc_registry_memory_budget_bytes", "The LRU memory budget.", float64(rs.MemoryBudget))

@@ -51,27 +51,13 @@ type RunResponse struct {
 	// Cached reports whether this request hit the registry (zero
 	// verification, linking or predecode work was done for it).
 	Cached bool `json:"cached"`
-	// Certified reports whether the verifier proved the program's
-	// evaluation-stack bounds (the stack-bounds certificate); every image
-	// runs the same dispatch table either way. When a verified image was
-	// admitted but denied the certificate, CertReasons carries the
-	// verifier's distinct reason codes.
-	Certified   bool     `json:"certified,omitempty"`
-	CertReasons []string `json:"certReasons,omitempty"`
+	// Certified is always false and is never encoded.
+	//
+	// Deprecated: the verifier grants no certificate; it only admits or
+	// rejects.
+	Certified   bool     `json:"-"`
 	Error       string   `json:"error,omitempty"`
 	Diagnostics []string `json:"diagnostics,omitempty"`
-}
-
-// certReasons extracts the denial reason codes of an uncertified verified
-// image; nil for certified or unverified images.
-func certReasons(ent *registry.Entry) []string {
-	if ent.Certified() {
-		return nil
-	}
-	if rep := ent.Image().VerifyReport(); rep != nil {
-		return rep.CertReasons()
-	}
-	return nil
 }
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
@@ -134,7 +120,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	resp := RunResponse{Hash: ent.Hash(), Cached: cached, Certified: ent.Certified(), CertReasons: certReasons(ent)}
+	resp := RunResponse{Hash: ent.Hash(), Cached: cached}
 	fillRun(&resp, cr, runErr)
 	writeRun(w, status, &resp)
 }

@@ -10,8 +10,8 @@
 // submissions (from any tenant) skip the whole load path and run on a
 // pooled machine immediately. The isolation story is layered: the pool
 // guarantees every request a machine reset to the shared image's boot
-// snapshot; the verifier's certificate makes the shared image itself safe
-// across tenants; and per-tenant quotas (in-flight, queue, step rate)
+// snapshot; the image is immutable and every run checks its own stack
+// pushes and pops; and per-tenant quotas (in-flight, queue, step rate)
 // make sure one tenant's overload sheds that tenant only.
 //
 // Endpoints:

@@ -17,6 +17,7 @@ import (
 
 	fpc "repro"
 	"repro/internal/server"
+	"repro/internal/workload"
 )
 
 // srvSrc is the serving-shaped test module: a fast call, a tunable slow
@@ -544,35 +545,72 @@ func (r *recorder) reset() {
 	r.body.Reset()
 }
 
-// TestCallHashAllocs bounds the allocations of one served /call/{hash}
-// request: POST /call/{BootHash} on fib(3) through ServeHTTP, with the
-// request, its body and the recorder reused as a load generator would.
-// It reads 16 on Go 1.24, against 27 with http.ServeMux routing, a
-// context.WithTimeout timer and a reflective reply encoder; the bound
-// leaves 2 for other Go versions.
+// TestCallHashAllocs bounds the allocations of a served call-short
+// request: POST /call/{hash} through ServeHTTP on the boot image fib(3)
+// and on traps(2) and sieve(9) admitted through a verifying registry,
+// with each request, its body and the recorder reused as a load generator
+// would. fib(3) reads 16 on Go 1.24, against 27 with http.ServeMux
+// routing, a context.WithTimeout timer and a reflective reply encoder;
+// the bound leaves 2 for other Go versions. traps(2) and sieve(9) send
+// and get the same shapes (no args, one result, no output), so they must
+// allocate alike; a reply that rebuilt sieve's list of certificate
+// reasons on every request read 12 against traps' 10.
 func TestCallHashAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts differ under the race detector")
 	}
 	const max = 18
-	s, _ := newTestServer(t, server.Config{})
-	body := []byte(`{"args":[3]}`)
-	req := httptest.NewRequest(http.MethodPost, "/call/"+s.BootHash(), nil)
-	var rd bytes.Reader
-	req.Body = io.NopCloser(&rd)
-	var rec recorder
-	got := testing.AllocsPerRun(200, func() {
-		rd.Reset(body)
-		rec.reset()
-		s.ServeHTTP(&rec, req)
-		if rec.status != http.StatusOK || !bytes.HasPrefix(rec.body.Bytes(), []byte(`{"results":[2],`)) {
-			t.Fatalf("status %d: %s", rec.status, rec.body.Bytes())
-		}
-	})
-	if got > max {
-		t.Fatalf("%.1f allocations per request, want at most %d", got, max)
+	s, _ := newTestServer(t, server.Config{Verify: true})
+	type row struct {
+		name, hash string
+		args       []int64
+		want       fpc.Word
 	}
-	t.Logf("%.1f allocations per request", got)
+	rows := []row{{"fib(3)", s.BootHash(), []int64{3}, 2}}
+	for _, p := range []*workload.Program{workload.Traps(2), workload.Sieve(9)} {
+		prog, _, err := p.Build(fpc.DefaultLinkOptions(fpc.ConfigFastCalls))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ent, _, err := s.Registry().Submit(prog)
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name, err)
+		}
+		res, err := ent.Pool().Call(ent.Image().Entry())
+		if err != nil || len(res) != 1 {
+			t.Fatalf("%s: direct call %v %v", p.Name, res, err)
+		}
+		rows = append(rows, row{p.Name, prog.ContentHash(), nil, res[0]})
+	}
+	allocs := map[string]float64{}
+	for _, c := range rows {
+		body, err := json.Marshal(server.CallRequest{Args: c.args})
+		if err != nil {
+			t.Fatal(err)
+		}
+		prefix := []byte(fmt.Sprintf(`{"results":[%d],`, c.want))
+		req := httptest.NewRequest(http.MethodPost, "/call/"+c.hash, nil)
+		var rd bytes.Reader
+		req.Body = io.NopCloser(&rd)
+		var rec recorder
+		got := testing.AllocsPerRun(200, func() {
+			rd.Reset(body)
+			rec.reset()
+			s.ServeHTTP(&rec, req)
+			if rec.status != http.StatusOK || !bytes.HasPrefix(rec.body.Bytes(), prefix) {
+				t.Fatalf("%s: status %d: %s", c.name, rec.status, rec.body.Bytes())
+			}
+		})
+		t.Logf("%s: %.1f allocations per request", c.name, got)
+		if got > max {
+			t.Errorf("%s: %.1f allocations per request, want at most %d", c.name, got, max)
+		}
+		allocs[c.name] = got
+	}
+	if allocs["sieve(9)"] != allocs["traps(2)"] {
+		t.Errorf("sieve(9) allocates %.1f per request and traps(2) %.1f; the same request shape must allocate alike",
+			allocs["sieve(9)"], allocs["traps(2)"])
+	}
 }
 
 // TestRouting pins each of the seven endpoints to its handler by a reply

@@ -13,8 +13,8 @@ import (
 // names, the link vector below the global frame and the global-frame
 // address inline in each direct-call header. checkLinkage holds the first
 // four to the metadata and rejects any disagreement. importSlotOK and
-// headerGFOK withhold the certificate where a call reads linkage the
-// metadata does not pin down.
+// headerGFOK mark the calls that read linkage the metadata does not pin
+// down: their callee, and so their result depth, is unknown.
 
 // checkLinkage rejects an image whose linkage words disagree with the
 // instance metadata the regions were built from.
@@ -51,26 +51,18 @@ func (a *analyzer) checkLinkage() {
 	}
 }
 
-// importSlotOK withholds the certificate for an external call through a
-// slot past the module's imports: that word is another module's global or
-// link state, which the program can rewrite at run time.
-func (a *analyzer) importSlotOK(pc uint32, inst *image.Instance, slot int) bool {
-	if slot < len(inst.Module.Imports) {
-		return true
-	}
-	a.diagCert(pc, ReasonUnresolvedLink,
-		"link vector slot %d lies past the %d imports of %s", slot, len(inst.Module.Imports), inst.Module.Name)
-	return false
+// importSlotOK reports whether an external call's link-vector slot is
+// one of the module's imports. A slot past them is another module's global
+// or link state, which the program can rewrite at run time, so the callee
+// is unknown.
+func importSlotOK(inst *image.Instance, slot int) bool {
+	return slot < len(inst.Module.Imports)
 }
 
-// headerGFOK withholds the certificate for a direct call whose inline
-// header names a global frame other than the callee instance's: the callee
-// would run against another module's globals and link vector.
-func (a *analyzer) headerGFOK(pc uint32, in *isa.Inst, callee *image.Instance) bool {
-	if mem.Addr(in.GF) == callee.GF {
-		return true
-	}
-	a.diagCert(pc, ReasonLinkage,
-		"direct-call header at %06x does not name the global frame %04x of %s", in.Target, callee.GF, callee.Module.Name)
-	return false
+// headerGFOK reports whether a direct call's inline header names the
+// callee instance's global frame. Otherwise the callee runs against
+// another module's globals and link vector, and its summary does not
+// describe the call.
+func headerGFOK(in *isa.Inst, callee *image.Instance) bool {
+	return mem.Addr(in.GF) == callee.GF
 }

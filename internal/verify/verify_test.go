@@ -2,11 +2,9 @@ package verify_test
 
 import (
 	"fmt"
-	"reflect"
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/image"
 	"repro/internal/isa"
 	"repro/internal/linker"
@@ -42,42 +40,39 @@ func hasReason(diags []verify.Diag, reason verify.Reason) bool {
 	return false
 }
 
-// Recursive compiler output must be admitted, certified, and carry sane
-// per-procedure summaries — recursion is handled by the interprocedural
-// fixpoint, not flagged as unbounded.
-func TestFibAdmittedAndCertified(t *testing.T) {
+// Recursive compiler output must be admitted, and every call site must
+// read its callee's result-depth summary: fib's calls each return one
+// word, so the pc after every call holds exactly [1,1]. Recursion is
+// handled by the interprocedural fixpoint, not flagged as unbounded.
+func TestFibAdmitted(t *testing.T) {
 	for _, early := range []bool{false, true} {
 		prog := buildWorkload(t, workload.Fib(10), early)
 		r := verify.Program(prog)
 		if !r.Admitted() {
 			t.Fatalf("early=%v: fib rejected:\n%s", early, r)
 		}
-		if !r.CertStackBounds {
-			t.Fatalf("early=%v: fib denied stack-bounds certificate:\n%s", early, r)
-		}
-		var sawFib bool
-		for _, p := range r.Procs {
-			if p.MaxDepth < 0 {
+		insts, _ := isa.Predecode(prog.Code)
+		calls := 0
+		for pc, in := range insts {
+			if !in.Valid() || !in.Op.IsCall() {
 				continue
 			}
-			if p.MaxDepth > isa.EvalStackDepth {
-				t.Errorf("early=%v: %s max depth %d exceeds the stack", early, p.Name, p.MaxDepth)
+			if _, _, ok := r.DepthAt(uint32(pc)); !ok {
+				continue
 			}
-			if p.Name == "fib.fib" {
-				sawFib = true
-				if p.ResultLo != 1 || p.ResultHi != 1 {
-					t.Errorf("early=%v: fib.fib results [%d,%d], want [1,1]", early, p.ResultLo, p.ResultHi)
-				}
+			calls++
+			next := uint32(pc) + uint32(in.Size)
+			if lo, hi, ok := r.DepthAt(next); !ok || lo != 1 || hi != 1 {
+				t.Errorf("early=%v: after the %s at %06x: depth [%d,%d] reached=%v, want [1,1]", early, in.Op, pc, lo, hi, ok)
 			}
 		}
-		if !sawFib {
-			t.Errorf("early=%v: no reached lib.fib in %+v", early, r.Procs)
+		if calls < 3 {
+			t.Errorf("early=%v: %d reached call sites, want fib's two and main's one", early, calls)
 		}
 	}
 }
 
-// Every checked-in workload must at least be admitted under both linkage
-// policies (coroutine/trap workloads legitimately lose the certificate).
+// Every checked-in workload must be admitted under both linkage policies.
 func TestCorpusAdmitted(t *testing.T) {
 	for _, w := range workload.Corpus() {
 		for _, early := range []bool{false, true} {
@@ -151,7 +146,7 @@ func TestJumpIntoOperandsWarned(t *testing.T) {
 	if !r.Admitted() {
 		t.Fatalf("shadow-stream jump rejected:\n%s", r)
 	}
-	if !hasReason(r.Warnings(), verify.ReasonJumpIntoOperands) {
+	if !hasReason(r.Diags, verify.ReasonJumpIntoOperands) {
 		t.Fatalf("missing %s:\n%s", verify.ReasonJumpIntoOperands, r)
 	}
 }
@@ -212,17 +207,13 @@ func setData(p *image.Program, addr mem.Addr, v mem.Word) {
 }
 
 // Invalid slots that are not reachable — here, garbage appended after the
-// last procedure — must NOT reject the program, and must not cost it the
-// certificate either.
+// last procedure — must NOT reject the program, nor draw any diagnostic.
 func TestUnreachableInvalidSlotsAccepted(t *testing.T) {
 	prog := buildWorkload(t, workload.Fib(5), false)
 	prog.Code = append(prog.Code, 0xFF, 0xFF, 0xFF)
 	r := verify.Program(prog)
-	if !r.Admitted() {
-		t.Fatalf("unreachable garbage rejected:\n%s", r)
-	}
-	if !r.CertStackBounds {
-		t.Fatalf("unreachable garbage cost the certificate:\n%s", r)
+	if !r.Admitted() || len(r.Diags) != 0 {
+		t.Fatalf("unreachable garbage drew diagnostics:\n%s", r)
 	}
 }
 
@@ -259,28 +250,6 @@ func TestDefiniteUnderflowRejected(t *testing.T) {
 	}
 }
 
-// A net-push loop MIGHT overflow (it does at run time, but only after some
-// iterations): the verifier admits it — the machine's checked push catches
-// it — but withholds the certificate.
-func TestNetPushLoopAdmittedUncertified(t *testing.T) {
-	var a image.Asm
-	l := a.NewLabel()
-	a.Bind(l)
-	a.Emit(isa.LI0)
-	a.EmitJump(isa.JB, l)
-	m := &image.Module{Name: "m", Procs: []*image.Proc{{Name: "p", Body: a.Fragment()}}}
-	r := verify.Program(linkOne(t, m, "p"))
-	if !r.Admitted() {
-		t.Fatalf("net-push loop rejected:\n%s", r)
-	}
-	if r.CertStackBounds {
-		t.Fatalf("net-push loop certified:\n%s", r)
-	}
-	if !hasReason(r.Warnings(), verify.ReasonMaybeOverflow) {
-		t.Fatalf("missing %s:\n%s", verify.ReasonMaybeOverflow, r)
-	}
-}
-
 // Depth annotations must exist for reached pcs and stay inside the stack.
 func TestDepthsPopulated(t *testing.T) {
 	prog := buildWorkload(t, workload.Fib(5), true)
@@ -293,15 +262,24 @@ func TestDepthsPopulated(t *testing.T) {
 	if lo != 0 || hi != 0 {
 		t.Errorf("entry depth [%d,%d], want [0,0]", lo, hi)
 	}
-	for pc, d := range r.Depths {
-		if d[0] < 0 || d[1] > isa.EvalStackDepth || d[0] > d[1] {
-			t.Errorf("pc %06x: bad interval %v", pc, d)
+	reached := 0
+	for pc := range prog.Code {
+		lo, hi, ok := r.DepthAt(uint32(pc))
+		if !ok {
+			continue
 		}
+		reached++
+		if lo < 0 || hi > isa.EvalStackDepth || lo > hi {
+			t.Errorf("pc %06x: bad interval [%d,%d]", pc, lo, hi)
+		}
+	}
+	if reached == 0 {
+		t.Error("no reached pc")
 	}
 }
 
-// A module-global write lands in boot-image storage the verifier can place
-// statically: it must not cost the stack-bounds certificate.
+// A module-global write inside the module's globals is admitted and draws
+// no diagnostic.
 func TestHeapWriteIntoBootImage(t *testing.T) {
 	w := &workload.Program{
 		Name: "boot-write",
@@ -317,11 +295,8 @@ proc main(n) {
 	}
 	for _, early := range []bool{false, true} {
 		r := verify.Program(buildWorkload(t, w, early))
-		if !r.Admitted() {
-			t.Fatalf("early=%v: rejected:\n%s", early, r)
-		}
-		if !r.CertStackBounds {
-			t.Errorf("early=%v: global write cost the stack-bounds certificate:\n%s", early, r)
+		if !r.Admitted() || len(r.Diags) != 0 {
+			t.Fatalf("early=%v: global write drew diagnostics:\n%s", early, r)
 		}
 	}
 }
@@ -370,59 +345,15 @@ func chainProgram(procs int) *workload.Program {
 	}
 }
 
-// Region and allocation-site indices share a 256-bit set, so value
-// tracking covers the first 256 of each; past that a value merely goes
-// untracked, and the rest of the program keeps its precision. The chain
-// must hold the certificate at 70 procedures and at 257 (258 regions
-// with main, past the cap; 256 allocation sites, at it), and run
-// identically on certified and unverified images. At 400 procedures it
-// has more than 256 allocation sites: it stays admitted, and the stores
-// through the untracked sites withhold the certificate.
-func TestManyProcsCertified(t *testing.T) {
-	for _, tc := range []struct {
-		procs int
-		cert  bool
-	}{{70, true}, {257, true}, {400, false}} {
-		w := chainProgram(tc.procs)
+// Programs past any fixed region count are analyzed whole: the chain is
+// admitted at 70, 257 and 400 procedures, with no diagnostic.
+func TestManyProcsAdmitted(t *testing.T) {
+	for _, procs := range []int{70, 257, 400} {
+		w := chainProgram(procs)
 		for _, early := range []bool{false, true} {
-			prog := buildWorkload(t, w, early)
-			r := verify.Program(prog)
-			if !r.Admitted() {
-				t.Fatalf("%s early=%v: rejected:\n%s", w.Name, early, r)
-			}
-			if len(r.Procs) != tc.procs+1 {
-				t.Fatalf("%s early=%v: %d regions, want %d", w.Name, early, len(r.Procs), tc.procs+1)
-			}
-			if r.CertStackBounds != tc.cert {
-				t.Errorf("%s early=%v: certificate %v, want %v:\n%s",
-					w.Name, early, r.CertStackBounds, tc.cert, r)
-			}
-			if !tc.cert {
-				continue
-			}
-			for _, cfg := range []core.Config{core.ConfigMesa, core.ConfigFastCalls} {
-				var got [2][]mem.Word
-				var metrics [2]*core.Metrics
-				for i, opts := range [][]core.LoadOption{nil, {core.WithVerify()}} {
-					img, err := core.LoadImage(prog, cfg, opts...)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if img.Certified() != (i == 1) {
-						t.Fatalf("%s early=%v: certified image = %v", w.Name, early, img.Certified())
-					}
-					m, err := img.NewMachine()
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got[i], err = m.Call(img.Entry(), w.Args...); err != nil {
-						t.Fatalf("%s early=%v: run: %v", w.Name, early, err)
-					}
-					metrics[i] = m.Metrics().Clone()
-				}
-				if !reflect.DeepEqual(got[0], got[1]) || !reflect.DeepEqual(metrics[0], metrics[1]) {
-					t.Errorf("%s early=%v: certified run %v diverges from unverified %v", w.Name, early, got[1], got[0])
-				}
+			r := verify.Program(buildWorkload(t, w, early))
+			if !r.Admitted() || len(r.Diags) != 0 {
+				t.Errorf("%s early=%v: diagnostics:\n%s", w.Name, early, r)
 			}
 		}
 	}

@@ -28,16 +28,9 @@ type Pool struct {
 }
 
 // NewPool loads prog once under cfg and returns a pool of machines over
-// the shared image. The load is opportunistically verified: when the
-// static verifier admits the program the pool serves the verified image,
-// which carries the verifier's report and stack-bounds certificate. A
-// program the verifier rejects is loaded unverified; NewPool never
-// rejects a program LoadImage accepts. Both kinds of image run and reset
-// the same way.
+// the shared image. It does not verify the program; LoadImageVerified
+// plus NewPoolFromImage does.
 func NewPool(prog *Program, cfg Config) (*Pool, error) {
-	if img, err := core.LoadImage(prog, cfg, core.WithVerify()); err == nil {
-		return NewPoolFromImage(img), nil
-	}
 	img, err := LoadImage(prog, cfg)
 	if err != nil {
 		return nil, err
