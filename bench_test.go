@@ -311,6 +311,69 @@ func BenchmarkServeCallShort(b *testing.B) {
 	}
 }
 
+// BenchmarkFirstSight times a first-sight POST /run through
+// Server.ServeHTTP: compile, link, verify, load, warm, run and the
+// registry's eviction, on a server built as servebench builds it (a
+// verified FastCalls boot image, Verify, CacheImages 64). The bodies are
+// pre-encoded submit-churn draws, RandomProgram(seed<<24 + i<<4) for seed
+// 3, keeping the draws that answer 200; there are four times as many as
+// the cap, so every op misses and evicts.
+func BenchmarkFirstSight(b *testing.B) {
+	const seed, images, draws = 3, 64, 256
+	prog, _, err := workload.Fib(3).Build(fpc.DefaultLinkOptions(fpc.ConfigFastCalls))
+	if err != nil {
+		b.Fatal(err)
+	}
+	img, err := fpc.LoadImageVerified(prog, fpc.ConfigFastCalls)
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv := server.New(fpc.NewPoolFromImage(img), server.Config{Verify: true, CacheImages: images})
+	req, err := http.NewRequest(http.MethodPost, "/run", nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rd := bytes.NewReader(nil)
+	req.Body = io.NopCloser(rd)
+	var rec benchRecorder
+	serve := func(body []byte) int {
+		rd.Reset(body)
+		rec.reset()
+		srv.ServeHTTP(&rec, req)
+		return rec.status
+	}
+	var bodies [][]byte
+	for i := int64(0); i < draws; i++ {
+		p := workload.RandomProgram(seed<<24 + i<<4)
+		args := make([]int64, len(p.Args))
+		for j, a := range p.Args {
+			args[j] = int64(a)
+		}
+		body, err := json.Marshal(server.RunRequest{Modules: p.Sources, Entry: p.Module + "." + p.Proc, Args: args})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if serve(body) == http.StatusOK {
+			bodies = append(bodies, body)
+		}
+	}
+	if len(bodies) < 2*images {
+		b.Fatalf("only %d of %d draws answer 200", len(bodies), draws)
+	}
+	hits := srv.Registry().Stats().Hits
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if status := serve(bodies[i%len(bodies)]); status != http.StatusOK {
+			b.Fatalf("draw %d: status %d: %s", i%len(bodies), status, rec.body.Bytes())
+		}
+	}
+	b.StopTimer()
+	if h := srv.Registry().Stats().Hits; h != hits {
+		b.Fatalf("%d of %d first sightings hit the registry", h-hits, b.N)
+	}
+}
+
 // BenchmarkVerify times the link-time verifier alone, as a first-sight
 // /run pays it: fpc.Verify over RandomProgram seeds 0-2999, each built
 // beforehand under both linkages, one program per op.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 	"unsafe"
 
 	"repro/internal/frames"
@@ -16,16 +17,18 @@ import (
 // LoadedImage is a linked Program loaded exactly once: the code space plus
 // an immutable snapshot of the boot-time main data space (GFT, global
 // frames, link vectors, allocation vector, the carved free-frame region)
-// and the allocator and free-frame-stack state at the same instant. Any
-// number of machines share one LoadedImage — each boots by a memcpy of the
-// snapshot instead of re-compiling, re-linking and re-loading, and resets
-// the same way. A LoadedImage is never written after LoadImage returns, so
-// it is safe for concurrent use by any number of goroutines.
+// and the allocator and free-frame-stack state at the same instant. The
+// snapshot keeps only the window of words the boot wrote; every word
+// outside it is zero. Any number of machines share one LoadedImage — each
+// boots by a memcpy of that window instead of re-compiling, re-linking and
+// re-loading, and resets the same way. A LoadedImage is never written
+// after LoadImage returns, so it is safe for concurrent use by any number
+// of goroutines.
 type LoadedImage struct {
 	prog *image.Program
 	cfg  Config // normalized and validated
 
-	boot     []mem.Word   // post-boot MDS contents
+	boot     mem.Snapshot // the window of the MDS the boot wrote
 	heapBoot frames.State // allocator register state at the snapshot point
 	bootFree []mem.Addr   // free-frame stack contents at the snapshot point
 	stdFSI   int          // size class of the standard frame; -1 disabled
@@ -63,6 +66,11 @@ func (e *VerifyError) Error() string {
 	return fmt.Sprintf("core: program rejected by verifier: %s (%d diagnostics)", errs[0], len(e.Report.Diags))
 }
 
+// scratchStores recycles the stores LoadImage boots in. Each goes back
+// restored to the zero Snapshot, so a load pays for the words its boot
+// wrote rather than for a fresh 64K-word store.
+var scratchStores = sync.Pool{New: func() any { return mem.New() }}
+
 // LoadImage loads prog once under cfg: it validates and normalizes the
 // configuration, boots a scratch store (initial data, frame heap,
 // free-frame prefill — boot-time traffic is not part of any run) and
@@ -89,18 +97,22 @@ func LoadImage(prog *image.Program, cfg Config, opts ...LoadOption) (*LoadedImag
 	}
 
 	img := &LoadedImage{prog: prog, cfg: cfg, stdFSI: -1}
-	if lo.verify {
-		rep := verify.Program(prog)
-		if !rep.Admitted() {
-			return nil, &VerifyError{Report: rep}
-		}
-	}
 	insts, err := isa.Predecode(prog.Code)
 	if err != nil {
 		return nil, err
 	}
+	if lo.verify {
+		rep := verify.Predecoded(prog, insts)
+		if !rep.Admitted() {
+			return nil, &VerifyError{Report: rep}
+		}
+	}
 	img.insts = insts
-	store := mem.New()
+	store := scratchStores.Get().(*mem.Memory)
+	defer func() {
+		store.RestoreFrom(mem.Snapshot{})
+		scratchStores.Put(store)
+	}()
 	prog.Load(store)
 	h, err := frames.New(store, img.heapConfig())
 	if err != nil {
@@ -165,13 +177,13 @@ func (img *LoadedImage) Certified() bool { return false }
 func (img *LoadedImage) ResetElide() bool { return false }
 
 // MemoryFootprint reports the bytes a resident LoadedImage pins: the boot
-// snapshot of the main data space, the predecoded instruction stream, the
-// code space and the free-frame/boot bookkeeping. A registry holding
-// images under a memory budget charges exactly this much per cached
-// image; machines booted over the image cost MachineFootprint each on
-// top.
+// snapshot's window of the main data space (not the whole 64K words), the
+// predecoded instruction stream, the code space and the free-frame/boot
+// bookkeeping. A registry holding images under a memory budget charges
+// exactly this much per cached image; machines booted over the image cost
+// MachineFootprint each on top.
 func (img *LoadedImage) MemoryFootprint() int64 {
-	n := int64(len(img.boot)) * int64(unsafe.Sizeof(mem.Word(0)))
+	n := int64(len(img.boot.Words)) * int64(unsafe.Sizeof(mem.Word(0)))
 	n += int64(len(img.insts)) * int64(unsafe.Sizeof(isa.Inst{}))
 	n += int64(len(img.prog.Code))
 	n += int64(len(img.prog.Data)) * int64(unsafe.Sizeof(image.DataWord{}))
@@ -190,8 +202,9 @@ func (img *LoadedImage) MachineFootprint() int64 {
 	return n
 }
 
-// NewMachine boots a fresh machine over the shared image: one snapshot
-// memcpy plus cheap register allocation, no linking or loading.
+// NewMachine boots a fresh machine over the shared image: its own zeroed
+// 64K-word store with the boot window copied in, plus cheap register
+// allocation, no linking or loading.
 func (img *LoadedImage) NewMachine() (*Machine, error) {
 	m := &Machine{
 		cfg:       img.cfg,

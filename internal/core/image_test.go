@@ -4,7 +4,10 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/frames"
+	"repro/internal/isa"
 	"repro/internal/linker"
+	"repro/internal/mem"
 	"repro/internal/workload"
 )
 
@@ -41,13 +44,74 @@ func TestLoadedImageShared(t *testing.T) {
 		return m.Metrics()
 	}
 	a := run()
-	bootBefore := append([]uint16(nil), img.boot...)
+	bootBefore := append([]uint16(nil), img.boot.Words...)
 	b := run()
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("two machines over one image diverged:\n%+v\n%+v", a, b)
 	}
-	if !reflect.DeepEqual(bootBefore, img.boot) {
+	if !reflect.DeepEqual(bootBefore, img.boot.Words) {
 		t.Fatal("a run mutated the shared boot snapshot")
+	}
+}
+
+// TestBootInRecycledScratchStore: LoadImage boots in recycled scratch
+// stores, so a machine over an image loaded after many others must still
+// hold exactly what a boot in a store fresh from mem.New leaves, all 64K
+// words of it, with the same allocator state.
+func TestBootInRecycledScratchStore(t *testing.T) {
+	for seed := int64(0); seed < 40; seed++ {
+		prog, _, err := workload.RandomProgram(seed).Build(linker.Options{EarlyBind: seed%2 == 0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		img, err := LoadImage(prog, ConfigFastCalls)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := img.NewMachine()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := mem.New()
+		prog.Load(ref)
+		h, err := frames.New(ref, img.heapConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < ConfigFastCalls.FreeFrameStack; i++ {
+			if _, err := h.Alloc(img.stdFSI); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got, want := m.Mem().PeekRange(0, mem.Size), ref.PeekRange(0, mem.Size)
+		for a := range got {
+			if got[a] != want[a] {
+				t.Fatalf("seed %d: word %04x = %04x after boot, fresh-store boot %04x", seed, a, got[a], want[a])
+			}
+		}
+		if !reflect.DeepEqual(img.heapBoot, h.State()) {
+			t.Fatalf("seed %d: allocator %+v, fresh-store boot %+v", seed, img.heapBoot, h.State())
+		}
+	}
+}
+
+// TestVerifiedLoadKeepsPredecode: a verified load hands the verifier the
+// stream it predecoded for its machines, and the verifier leaves it as
+// isa.Predecode made it.
+func TestVerifiedLoadKeepsPredecode(t *testing.T) {
+	for _, early := range []bool{false, true} {
+		prog, _, err := workload.RandomProgram(7).Build(linker.Options{EarlyBind: early})
+		if err != nil {
+			t.Fatal(err)
+		}
+		img, err := LoadImage(prog, ConfigFastCalls, WithVerify())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := isa.Predecode(prog.Code)
+		if !reflect.DeepEqual(img.Insts(), want) {
+			t.Fatalf("early=%v: verified load's predecoded stream differs from isa.Predecode's", early)
+		}
 	}
 }
 
@@ -149,7 +213,7 @@ func TestMetricsMergeIdentity(t *testing.T) {
 func TestMemoryFootprint(t *testing.T) {
 	img, _ := buildImage(t, ConfigFastCalls)
 	fp := img.MemoryFootprint()
-	bootBytes := int64(len(img.boot)) * 2
+	bootBytes := int64(len(img.boot.Words)) * 2
 	if fp < bootBytes {
 		t.Fatalf("footprint %d smaller than its boot snapshot alone (%d)", fp, bootBytes)
 	}

@@ -172,9 +172,10 @@ func (m *Machine) Image() *LoadedImage { return m.img }
 
 // Reset restores the machine to its boot state — the instant its image's
 // snapshot was taken — without re-compiling, re-linking or re-loading.
-// Only the store's dirty window is copied back, so a reset after a short
-// run is far cheaper than booting a fresh machine, and after a run that
-// wrote no data word the copy is empty. Every image takes this one path:
+// Only the store's dirty window is restored: boot words are copied back
+// where it overlaps the image's boot window, and the rest of it is
+// zeroed. So a reset after a short run is far cheaper than booting a fresh
+// machine, and after a run that wrote no data word it touches nothing. Every image takes this one path:
 // the allocator registers are restored unconditionally. Metrics, output
 // and all processor registers are cleared; Metrics is emptied in place,
 // keeping its histograms' storage.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -193,7 +194,7 @@ func FuzzPoolReuse(f *testing.F) {
 // admitted mutant must end in results or a machine error, never a Go
 // panic. The checked-in linkage-* seeds each overwrite one linkage word
 // that the verifier holds to the instance metadata
-// (internal/verify/linkage.go); the other two are admitted mutants that
+// (internal/verify/linkage.go); the other three are admitted mutants that
 // once panicked the machine.
 //
 //	go test -fuzz=FuzzVerify ./internal/difffuzz -fuzztime=30s
@@ -273,19 +274,47 @@ func mutate(prog *image.Program, muts []byte) *image.Program {
 	return out
 }
 
-// checkMutant is the verifier's hostile-input oracle. It builds
-// RandomProgram(seed) under the given linkage, applies mutate, and
-// verifies the result; the verifier must not panic. An admitted mutant
-// then runs on the Mesa and FastCalls machines under a step cap, and each
-// run must end in results or a machine error, never a Go panic: admission
-// has to hold for bytes the compiler did not write.
-func checkMutant(seed int64, early bool, muts []byte) error {
-	p := workload.RandomProgram(seed)
-	built, _, err := p.Build(linker.Options{EarlyBind: early})
-	if err != nil {
-		return failf(KindBuild, "early=%v: %v", early, err)
+// mutantBase is one (seed, linkage) build FuzzVerify mutates.
+type mutantBase struct {
+	p     *workload.Program
+	built *image.Program
+	err   error
+}
+
+// mutantBases caches the builds per fuzz worker process: FuzzVerify draws
+// from only 800 of them (400 seeds, two linkages), and mutate copies the
+// bytes it overwrites, so a build is shared read-only.
+var mutantBases sync.Map // mutantKey -> *mutantBase
+
+type mutantKey struct {
+	seed  int64
+	early bool
+}
+
+func mutantBuild(seed int64, early bool) *mutantBase {
+	k := mutantKey{seed, early}
+	if b, ok := mutantBases.Load(k); ok {
+		return b.(*mutantBase)
 	}
-	prog := mutate(built, muts)
+	b := &mutantBase{p: workload.RandomProgram(seed)}
+	b.built, _, b.err = b.p.Build(linker.Options{EarlyBind: early})
+	mutantBases.Store(k, b)
+	return b
+}
+
+// checkMutant is the verifier's hostile-input oracle. It builds
+// RandomProgram(seed) under the given linkage (once per process), applies
+// mutate, and verifies the result; the verifier must not panic. An
+// admitted mutant then runs on the Mesa and FastCalls machines under a
+// step cap, and each run must end in results or a machine error, never a
+// Go panic: admission has to hold for bytes the compiler did not write.
+func checkMutant(seed int64, early bool, muts []byte) error {
+	base := mutantBuild(seed, early)
+	if base.err != nil {
+		return failf(KindBuild, "early=%v: %v", early, base.err)
+	}
+	p := base.p
+	prog := mutate(base.built, muts)
 	rep, err := safeVerify(prog)
 	if err != nil {
 		return err

@@ -244,14 +244,18 @@ func (h *Heap) Alloc(fsi int) (mem.Addr, error) {
 		// frame bodies are even-aligned.
 		return 0, fmt.Errorf("%w: class %d free list holds %04x", ErrBadFree, fsi, head)
 	}
+	if h.live != nil {
+		if _, dup := h.live[head]; dup {
+			// The same corruption, caught by the shadow model: the
+			// list now leads to a frame still in use.
+			return 0, fmt.Errorf("%w: class %d free list holds live frame %04x", ErrBadFree, fsi, head)
+		}
+	}
 	next := h.m.Read(head) // ref 2: next pointer lives in the free frame's first word
 	h.m.Write(av, next)    // ref 3
 	h.stats.Live++
 	h.stats.GrantedWords += uint64(h.sizes[fsi])
 	if h.live != nil {
-		if _, dup := h.live[head]; dup {
-			panic(fmt.Sprintf("frames: allocator handed out live frame %04x", head))
-		}
 		h.live[head] = fsi
 	}
 	return head, nil

@@ -298,7 +298,17 @@ type Instr struct {
 }
 
 // Len reports the encoded length of the instruction in bytes.
-func (i Instr) Len() int { return InfoOf(i.Op).Len() }
+func (i Instr) Len() int { return int(lengths[i.Op]) }
+
+// lengths is each opcode's encoded length, so Len reads one byte instead
+// of copying an Info row. A byte past NumOps has InfoOf's fallback
+// length: one byte.
+var lengths = func() (t [256]uint8) {
+	for op := range t {
+		t[op] = uint8(InfoOf(Op(op)).Len())
+	}
+	return t
+}()
 
 // String renders the instruction for disassembly listings.
 func (i Instr) String() string {

@@ -67,14 +67,29 @@ var (
 	ErrTooBig     = errors.New("linker: out of space")
 )
 
+// callSite is a direct call in one procedure's code. The layout pass that
+// resolves the procedure records where the call landed.
 type callSite struct {
-	instIdx  int // instance that owns the code (module-level: first instance)
-	procIdx  int
-	insIdx   int
-	tgtInst  int
-	tgtProc  int
-	short    bool
-	instrOff int // byte offset of the call opcode within the proc body (filled at layout)
+	insIdx  int // index in the procedure's relocatable instructions
+	tgtInst int
+	tgtProc int
+	short   bool
+	bodyIdx int // index of the call in the resolved body
+	bodyOff int // byte offset of the call opcode within the resolved body
+}
+
+// place records where each direct call site of a procedure landed in its
+// resolved body and returns the body's length in bytes. sites are in
+// instruction order, and imap (ResolveJumps' index map) is increasing.
+func place(body []isa.Instr, imap []int, sites []*callSite) int {
+	sz, k := 0, 0
+	for bi, b := range body {
+		for ; k < len(sites) && imap[sites[k].insIdx] == bi; k++ {
+			sites[k].bodyIdx, sites[k].bodyOff = bi, sz
+		}
+		sz += b.Len()
+	}
+	return sz
 }
 
 // Link binds modules into a Program whose execution starts at
@@ -176,12 +191,13 @@ func Link(mods []*image.Module, entryModule, entryProc string, opts Options) (*i
 	stats := &Stats{}
 
 	// Transform each procedure's relocatable code: choose call forms.
-	// working[m][p] is the mutable instruction list; sites collects direct
-	// call sites for later address patching.
-	working := map[string][][]image.RInstr{}
-	var sites []*callSite
+	// working[mi][pi] is the mutable instruction list; sites[mi][pi] are
+	// its direct call sites, patched once addresses are final.
+	working := make([][][]image.RInstr, len(mods))
+	sites := make([][][]*callSite, len(mods))
 	for mi, m := range mods {
 		procIns := make([][]image.RInstr, len(m.Procs))
+		procSites := make([][]*callSite, len(m.Procs))
 		for pi, p := range m.Procs {
 			ins := make([]image.RInstr, len(p.Body.Ins))
 			copy(ins, p.Body.Ins)
@@ -194,9 +210,8 @@ func Link(mods []*image.Module, entryModule, entryProc string, opts Options) (*i
 					single := instCount(tgt.Module.Name) == 1
 					if opts.EarlyBind && single {
 						in.Op = isa.DCALL
-						sites = append(sites, &callSite{
-							instIdx: firstInstOf[m.Name], procIdx: pi, insIdx: ii,
-							tgtInst: r.inst, tgtProc: r.proc,
+						procSites[pi] = append(procSites[pi], &callSite{
+							insIdx: ii, tgtInst: r.inst, tgtProc: r.proc,
 						})
 						stats.DirectCalls++
 					} else {
@@ -215,9 +230,8 @@ func Link(mods []*image.Module, entryModule, entryProc string, opts Options) (*i
 				case image.ArgLocalProc:
 					if opts.EarlyBind && instCount(m.Name) == 1 {
 						in.Op = isa.DCALL
-						sites = append(sites, &callSite{
-							instIdx: firstInstOf[m.Name], procIdx: pi, insIdx: ii,
-							tgtInst: firstInstOf[m.Name], tgtProc: int(in.Arg),
+						procSites[pi] = append(procSites[pi], &callSite{
+							insIdx: ii, tgtInst: firstInstOf[m.Name], tgtProc: int(in.Arg),
 						})
 						stats.DirectCalls++
 					} else {
@@ -257,14 +271,21 @@ func Link(mods []*image.Module, entryModule, entryProc string, opts Options) (*i
 			}
 			procIns[pi] = ins
 		}
-		working[m.Name] = procIns
-		_ = mi
+		working[mi] = procIns
+		sites[mi] = procSites
 	}
 
+	// layout places every segment, resolving each procedure's jumps once.
+	// bodies[mi][pi] keeps the last pass's resolved code for emission, and
+	// cursor ends at the code space's laid-out size.
+	bodies := make([][][]isa.Instr, len(mods))
+	for mi, m := range mods {
+		bodies[mi] = make([][]isa.Instr, len(m.Procs))
+	}
+	var cursor uint32
 	layout := func() error {
-		cursor := opts.CodeStart
-		for _, m := range mods {
-			inst0 := insts[firstInstOf[m.Name]]
+		cursor = opts.CodeStart
+		for mi, m := range mods {
 			segBase := (cursor + 3) &^ 3
 			off := uint32(len(m.Procs) * 2) // entry vector
 			evOffsets := make([]uint16, len(m.Procs))
@@ -281,23 +302,12 @@ func Link(mods []*image.Module, entryModule, entryProc string, opts Options) (*i
 				}
 				evOffsets[pi] = uint16(off)
 				off++ // fsi byte
-				body, imap, err := image.ResolveJumps(working[m.Name][pi], p.Body.Labels)
+				body, imap, err := image.ResolveJumps(working[mi][pi], p.Body.Labels)
 				if err != nil {
 					return fmt.Errorf("%s.%s: %w", m.Name, p.Name, err)
 				}
-				// record byte offset of each instruction for call sites
-				ioff := make([]int, len(body))
-				sz := 0
-				for bi, b := range body {
-					ioff[bi] = sz
-					sz += b.Len()
-				}
-				for _, s := range sites {
-					if insts[s.instIdx].Module == m && s.procIdx == pi {
-						s.instrOff = int(off) + ioff[imap[s.insIdx]]
-					}
-				}
-				off += uint32(sz)
+				bodies[mi][pi] = body
+				off += uint32(place(body, imap, sites[mi][pi]))
 			}
 			// All instances of the module share the segment.
 			for ii, in := range insts {
@@ -307,7 +317,6 @@ func Link(mods []*image.Module, entryModule, entryProc string, opts Options) (*i
 					insts[ii].FSI = fsis
 				}
 			}
-			_ = inst0
 			cursor = segBase + off
 			if cursor >= 1<<24 {
 				return fmt.Errorf("%w: code space exceeds 24 bits", ErrTooBig)
@@ -324,16 +333,20 @@ func Link(mods []*image.Module, entryModule, entryProc string, opts Options) (*i
 	// Shrinking only brings targets closer, so one extra layout pass
 	// converges; a final range check guards the invariant.
 	if opts.EarlyBind && !opts.NoShortCalls {
-		for _, s := range sites {
-			from := int64(insts[s.instIdx].CodeBase) + int64(s.instrOff)
-			to := int64(insts[s.tgtInst].ProcHeaderAddr(s.tgtProc))
-			rel := to - from
-			if rel >= -32768 && rel <= 32767 {
-				s.short = true
-				w := working[insts[s.instIdx].Module.Name][s.procIdx]
-				w[s.insIdx].Op = isa.SDCALL
-				stats.DirectCalls--
-				stats.ShortCalls++
+		for mi, m := range mods {
+			in := insts[firstInstOf[m.Name]]
+			for pi, ps := range sites[mi] {
+				for _, s := range ps {
+					from := int64(in.ProcEntryPC(pi)) + int64(s.bodyOff)
+					to := int64(insts[s.tgtInst].ProcHeaderAddr(s.tgtProc))
+					rel := to - from
+					if rel >= -32768 && rel <= 32767 {
+						s.short = true
+						working[mi][pi][s.insIdx].Op = isa.SDCALL
+						stats.DirectCalls--
+						stats.ShortCalls++
+					}
+				}
 			}
 		}
 		if err := layout(); err != nil {
@@ -391,71 +404,41 @@ func Link(mods []*image.Module, entryModule, entryProc string, opts Options) (*i
 	}
 	prog.HeapBase = mem.Addr((mds + 3) &^ 3)
 
-	// Emit code bytes.
-	maxCode := 0
-	for _, m := range mods {
-		in := insts[firstInstOf[m.Name]]
-		end := int(in.CodeBase) + 2*len(m.Procs)
-		for pi := range m.Procs {
-			if e := int(in.CodeBase) + int(in.EVOffsets[pi]) + 1; e > end {
-				end = e
-			}
-		}
-		if end > maxCode {
-			maxCode = end
-		}
-	}
-	// Build with exact size after encoding; start generously.
-	code := make([]byte, 0, 1<<16)
-	emit := func(addr uint32, b []byte) {
-		need := int(addr) + len(b)
-		for len(code) < need {
-			code = append(code, byte(isa.NOOP))
-		}
-		copy(code[addr:], b)
-	}
-	for _, m := range mods {
+	// Emit code bytes into a buffer of the laid-out size. The gaps before
+	// CodeStart and between aligned segments stay zero: NOOP.
+	code := make([]byte, cursor)
+	for mi, m := range mods {
 		in := insts[firstInstOf[m.Name]]
 		// Entry vector.
-		ev := make([]byte, 2*len(m.Procs))
 		for pi := range m.Procs {
-			ev[2*pi] = byte(in.EVOffsets[pi])
-			ev[2*pi+1] = byte(in.EVOffsets[pi] >> 8)
+			code[in.CodeBase+uint32(2*pi)] = byte(in.EVOffsets[pi])
+			code[in.CodeBase+uint32(2*pi)+1] = byte(in.EVOffsets[pi] >> 8)
 		}
-		emit(in.CodeBase, ev)
 		for pi, p := range m.Procs {
 			hdr := in.ProcHeaderAddr(pi)
-			emit(hdr, []byte{byte(in.GF), byte(in.GF >> 8), byte(in.FSI[pi])})
-			body, imap, err := image.ResolveJumps(working[m.Name][pi], p.Body.Labels)
-			if err != nil {
-				return nil, nil, err
-			}
+			code[hdr], code[hdr+1], code[hdr+2] = byte(in.GF), byte(in.GF>>8), byte(in.FSI[pi])
+			body := bodies[mi][pi]
 			// Patch direct-call operands now that addresses are final.
-			ioff := make([]int, len(body))
-			sz := 0
-			for bi, b := range body {
-				ioff[bi] = sz
-				sz += b.Len()
-			}
-			for _, s := range sites {
-				if insts[s.instIdx].Module != m || s.procIdx != pi {
-					continue
-				}
-				ri := imap[s.insIdx]
-				at := int64(in.ProcEntryPC(pi)) + int64(ioff[ri])
+			for _, s := range sites[mi][pi] {
+				at := int64(in.ProcEntryPC(pi)) + int64(s.bodyOff)
 				to := int64(insts[s.tgtInst].ProcHeaderAddr(s.tgtProc))
 				if s.short {
 					rel := to - at
 					if rel < -32768 || rel > 32767 {
 						return nil, nil, fmt.Errorf("linker: SDCALL out of range after narrowing (%d)", rel)
 					}
-					body[ri].Arg = int32(rel)
+					body[s.bodyIdx].Arg = int32(rel)
 				} else {
-					body[ri].Arg = int32(to)
+					body[s.bodyIdx].Arg = int32(to)
 				}
 			}
 			stats.Lengths.Count(body)
-			emit(in.ProcEntryPC(pi), isa.EncodeAll(body))
+			// Appending to an empty slice at the entry pc encodes the
+			// body in place: code's capacity runs to the laid-out end.
+			enc := code[in.ProcEntryPC(pi):in.ProcEntryPC(pi)]
+			for _, b := range body {
+				enc = isa.Append(enc, b)
+			}
 			prog.Symbols[in.ProcEntryPC(pi)] = m.Name + "." + p.Name
 			stats.ProcCount++
 			stats.FrameWordHst = append(stats.FrameWordHst, p.FrameWords())

@@ -5,6 +5,13 @@
 // call (§5.1), per frame allocation (§5.3), cache vs register cycles (§7.3) —
 // so the store counts every read and write it services. The processor charges
 // cycles for those references using the constants in internal/core.
+//
+// The same counting applies to the store itself. A boot writes a few dozen
+// words, all inside one window of the 64K-word space, so a boot image is a
+// Snapshot of that window alone: every word outside it is zero. Loading one
+// copies the window into a zero store, and restoring one copies back only
+// where the store's dirty window overlaps it and zeroes the rest of the
+// dirty window.
 package mem
 
 import "fmt"
@@ -27,12 +34,23 @@ type Stats struct {
 // Refs reports total references (reads + writes).
 func (s Stats) Refs() uint64 { return s.Reads + s.Writes }
 
+// Snapshot is a store's contents as one window: the words
+// [Lo, Lo+len(Words)), with every word outside the window zero. The zero
+// Snapshot is the all-zero store.
+type Snapshot struct {
+	Lo    int
+	Words []Word
+}
+
+// Hi is the end of the window.
+func (s Snapshot) Hi() int { return s.Lo + len(s.Words) }
+
 // Memory is a simulated main data space. The zero value is not usable;
 // call New.
 //
 // The store tracks a dirty window — the smallest address range covering
 // every word written since the last LoadFrom/RestoreFrom — so a machine
-// restoring its boot snapshot copies only what a run actually touched
+// restoring its boot snapshot touches only what a run actually wrote
 // rather than all 64K words.
 type Memory struct {
 	words []Word
@@ -94,26 +112,44 @@ func (m *Memory) Clear() {
 	m.lo, m.hi = 0, Size
 }
 
-// Snapshot returns an independent copy of the full contents — the
-// immutable boot image a LoadedImage shares between machines.
-func (m *Memory) Snapshot() []Word {
-	return append([]Word(nil), m.words...)
+// Snapshot returns an independent copy of the dirty window. For a store
+// that was zero when it was last clean — fresh from New, or restored to
+// the zero Snapshot — that is its whole contents: the boot image a
+// LoadedImage shares between machines.
+func (m *Memory) Snapshot() Snapshot {
+	if m.lo >= m.hi {
+		return Snapshot{}
+	}
+	return Snapshot{Lo: m.lo, Words: append([]Word(nil), m.words[m.lo:m.hi]...)}
 }
 
-// LoadFrom replaces the entire contents with snap (a fresh boot), marks
-// the store clean relative to snap, and zeroes the counters.
-func (m *Memory) LoadFrom(snap []Word) {
-	copy(m.words, snap)
-	m.stats = Stats{}
-	m.lo, m.hi = Size, 0
+// LoadFrom boots a store that is zero outside its dirty window (fresh from
+// New, after Clear, or restored to the zero Snapshot) with snap: it copies
+// snap's window in, zeroes the rest of the dirty window, marks the store
+// clean relative to snap and zeroes the counters.
+func (m *Memory) LoadFrom(snap Snapshot) {
+	if lo, hi := snap.Lo, snap.Hi(); lo < hi {
+		m.lo, m.hi = min(m.lo, lo), max(m.hi, hi)
+	}
+	m.RestoreFrom(snap)
 }
 
-// RestoreFrom copies snap back over the dirty window only — the memcpy
-// that makes machine reuse cheap — then marks the store clean and zeroes
-// the counters. snap must be the image the store was last loaded from.
-func (m *Memory) RestoreFrom(snap []Word) {
+// RestoreFrom puts snap back over the dirty window only — boot words where
+// the dirty window overlaps snap's window, zero everywhere else in it —
+// then marks the store clean and zeroes the counters. snap must be the
+// image the store was last loaded from, so every word outside the dirty
+// window already matches it. Restoring the zero Snapshot clears a store
+// that was zero when last clean.
+func (m *Memory) RestoreFrom(snap Snapshot) {
 	if m.lo < m.hi {
-		copy(m.words[m.lo:m.hi], snap[m.lo:m.hi])
+		lo, hi := max(m.lo, snap.Lo), min(m.hi, snap.Hi())
+		if lo < hi {
+			copy(m.words[lo:hi], snap.Words[lo-snap.Lo:hi-snap.Lo])
+			clear(m.words[m.lo:lo])
+			clear(m.words[hi:m.hi])
+		} else {
+			clear(m.words[m.lo:m.hi])
+		}
 	}
 	m.stats = Stats{}
 	m.lo, m.hi = Size, 0

@@ -105,23 +105,74 @@ func TestSnapshotRestore(t *testing.T) {
 	}
 }
 
+// TestRestoreEquivalentToLoad: restoring a boot snapshot over any dirty
+// window leaves the store word for word equal to a fresh load, wherever
+// the dirty window lies against the boot window — below it, straddling
+// either edge, inside it, covering it, above it, or anywhere at all when
+// the boot window is empty — and after Clear dirtied the whole space.
 func TestRestoreEquivalentToLoad(t *testing.T) {
-	m := New()
-	for a := Addr(0); a < 64; a++ {
-		m.Poke(a, Word(a)*3)
+	boots := []struct {
+		name   string
+		lo, hi int // words poked at boot; an empty range is the zero Snapshot
+	}{
+		{"low", 0, 64},
+		{"mid", 0x1000, 0x1100},
+		{"high", Size - 64, Size},
+		{"empty", 0, 0},
 	}
-	snap := m.Snapshot()
-	a := New()
-	a.LoadFrom(snap)
-	b := New()
-	b.LoadFrom(snap)
-	// Arbitrary mutation on b, including the extremes of the space.
-	b.Write(0, 0xFFFF)
-	b.Write(Size-1, 0xFFFF)
-	b.RestoreFrom(snap)
-	for i := 0; i < Size; i++ {
-		if a.Peek(Addr(i)) != b.Peek(Addr(i)) {
-			t.Fatalf("restored store differs from fresh load at %04x", i)
+	for _, bw := range boots {
+		boot := New()
+		for a := bw.lo; a < bw.hi; a++ {
+			boot.Poke(Addr(a), Word(a%5)*7+Word(a>>8)) // some boot words stay zero
+		}
+		snap := boot.Snapshot()
+		if n := bw.hi - bw.lo; len(snap.Words) != n || n > 0 && snap.Lo != bw.lo {
+			t.Fatalf("%s: snapshot window [%d,%d), boot wrote [%d,%d)", bw.name, snap.Lo, snap.Hi(), bw.lo, bw.hi)
+		}
+		want := New()
+		want.LoadFrom(snap)
+		lo, hi := bw.lo, bw.hi
+		if lo >= hi {
+			lo, hi = 0x4000, 0x4040
+		}
+		dirties := []struct {
+			name   string
+			lo, hi int
+			clear  bool
+		}{
+			{"below", lo - 48, lo - 16, false},
+			{"straddling the low edge", lo - 8, lo + 8, false},
+			{"inside", lo + 8, hi - 8, false},
+			{"covering", lo - 8, hi + 8, false},
+			{"straddling the high edge", hi - 8, hi + 8, false},
+			{"above", hi + 16, hi + 48, false},
+			{"disjoint, far", (lo + Size/2) % Size, (lo+Size/2)%Size + 32, false},
+			{"whole space after Clear", 0, 0, true},
+		}
+		for _, dw := range dirties {
+			dlo, dhi := max(dw.lo, 0), min(dw.hi, Size)
+			if !dw.clear && dlo >= dhi {
+				continue
+			}
+			got := New()
+			got.LoadFrom(snap)
+			if dw.clear {
+				got.Clear()
+			}
+			for a := dlo; a < dhi; a++ {
+				got.Write(Addr(a), 0xFFFF)
+			}
+			got.RestoreFrom(snap)
+			g, w := got.PeekRange(0, Size), want.PeekRange(0, Size)
+			for a := range g {
+				if g[a] != w[a] {
+					t.Fatalf("boot %s, dirty %s [%d,%d): word %04x = %04x after restore, fresh load %04x",
+						bw.name, dw.name, dlo, dhi, a, g[a], w[a])
+				}
+			}
+			if got.DirtyWords() != 0 || got.Stats().Refs() != 0 {
+				t.Fatalf("boot %s, dirty %s: restore left %d dirty words, %d refs", bw.name, dw.name, got.DirtyWords(), got.Stats().Refs())
+			}
 		}
 	}
 }

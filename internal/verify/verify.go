@@ -110,7 +110,15 @@ type analyzer struct {
 // It never fails hard: malformed images produce Error diagnostics, not
 // panics, so a serving layer can always render the report.
 func Program(p *image.Program) *Report {
-	a := newAnalyzer(p)
+	insts, _ := isa.Predecode(p.Code)
+	return Predecoded(p, insts)
+}
+
+// Predecoded is Program over insts, p's code as isa.Predecode expanded
+// it, so a load that predecodes for its machines verifies the same stream
+// instead of decoding the code twice. The verifier only reads insts.
+func Predecoded(p *image.Program, insts []isa.Inst) *Report {
+	a := newAnalyzer(p, insts)
 	a.run()
 	a.rejudge()
 	return &Report{Diags: a.diags, depth: a.state, reached: a.reached}
@@ -174,8 +182,7 @@ func (a *analyzer) buildBoundaries() {
 	}
 }
 
-func newAnalyzer(p *image.Program) *analyzer {
-	insts, _ := isa.Predecode(p.Code)
+func newAnalyzer(p *image.Program, insts []isa.Inst) *analyzer {
 	a := &analyzer{
 		p:           p,
 		code:        p.Code,
