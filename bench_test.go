@@ -311,15 +311,25 @@ func BenchmarkServeCallShort(b *testing.B) {
 	}
 }
 
+// firstSightDraws returns 256 submit-churn draws,
+// RandomProgram(seed<<24 + i<<4) for seed 3.
+func firstSightDraws() []*workload.Program {
+	const seed, draws = 3, 256
+	ps := make([]*workload.Program, draws)
+	for i := range ps {
+		ps[i] = workload.RandomProgram(seed<<24 + int64(i)<<4)
+	}
+	return ps
+}
+
 // BenchmarkFirstSight times a first-sight POST /run through
 // Server.ServeHTTP: compile, link, verify, load, warm, run and the
 // registry's eviction, on a server built as servebench builds it (a
 // verified FastCalls boot image, Verify, CacheImages 64). The bodies are
-// pre-encoded submit-churn draws, RandomProgram(seed<<24 + i<<4) for seed
-// 3, keeping the draws that answer 200; there are four times as many as
-// the cap, so every op misses and evicts.
+// pre-encoded firstSightDraws, keeping the draws that answer 200; there
+// are four times as many as the cap, so every op misses and evicts.
 func BenchmarkFirstSight(b *testing.B) {
-	const seed, images, draws = 3, 64, 256
+	const images = 64
 	prog, _, err := workload.Fib(3).Build(fpc.DefaultLinkOptions(fpc.ConfigFastCalls))
 	if err != nil {
 		b.Fatal(err)
@@ -343,8 +353,7 @@ func BenchmarkFirstSight(b *testing.B) {
 		return rec.status
 	}
 	var bodies [][]byte
-	for i := int64(0); i < draws; i++ {
-		p := workload.RandomProgram(seed<<24 + i<<4)
+	for _, p := range firstSightDraws() {
 		args := make([]int64, len(p.Args))
 		for j, a := range p.Args {
 			args[j] = int64(a)
@@ -358,7 +367,7 @@ func BenchmarkFirstSight(b *testing.B) {
 		}
 	}
 	if len(bodies) < 2*images {
-		b.Fatalf("only %d of %d draws answer 200", len(bodies), draws)
+		b.Fatalf("only %d of the draws answer 200", len(bodies))
 	}
 	hits := srv.Registry().Stats().Hits
 	b.ReportAllocs()
@@ -494,14 +503,29 @@ func BenchmarkXferModel(b *testing.B) {
 	}
 }
 
-// BenchmarkCompile times the whole compiler pipeline on the corpus.
+// BenchmarkCompile times the compiler. queens builds (compiles and links)
+// one corpus program per op. submit-churn runs fpc.Compile alone over the
+// submit-churn draws BenchmarkFirstSight submits, one draw per op: the
+// frontend work of a first sighting.
 func BenchmarkCompile(b *testing.B) {
-	p := workload.Queens(6)
-	for i := 0; i < b.N; i++ {
-		if _, _, err := p.Build(linker.Options{EarlyBind: true}); err != nil {
-			b.Fatal(err)
+	b.Run("queens", func(b *testing.B) {
+		p := workload.Queens(6)
+		for i := 0; i < b.N; i++ {
+			if _, _, err := p.Build(linker.Options{EarlyBind: true}); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
+	})
+	b.Run("submit-churn", func(b *testing.B) {
+		draws := firstSightDraws()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := fpc.Compile(draws[i%len(draws)].Sources); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkInterpreterDispatch times raw simulated instruction dispatch.

@@ -66,9 +66,13 @@ func (e *VerifyError) Error() string {
 	return fmt.Sprintf("core: program rejected by verifier: %s (%d diagnostics)", errs[0], len(e.Report.Diags))
 }
 
-// scratchStores recycles the stores LoadImage boots in. Each goes back
-// restored to the zero Snapshot, so a load pays for the words its boot
-// wrote rather than for a fresh 64K-word store.
+// scratchStores recycles zeroed 64K-word stores. LoadImage boots its
+// snapshot in one and puts it back restored to the zero Snapshot;
+// NewMachine takes one for the machine it boots, and Machine.Release gives
+// a machine's store back unloaded. So a load pays for the words its boot
+// wrote rather than for a fresh store, and the machines of an evicted
+// image boot the next one. The pool allocates a store only when it is
+// empty.
 var scratchStores = sync.Pool{New: func() any { return mem.New() }}
 
 // LoadImage loads prog once under cfg: it validates and normalizes the
@@ -202,15 +206,16 @@ func (img *LoadedImage) MachineFootprint() int64 {
 	return n
 }
 
-// NewMachine boots a fresh machine over the shared image: its own zeroed
-// 64K-word store with the boot window copied in, plus cheap register
-// allocation, no linking or loading.
+// NewMachine boots a fresh machine over the shared image: a zeroed
+// 64K-word store from scratchStores (a released machine's, when there is
+// one) with the boot window copied in, plus cheap register allocation, no
+// linking or loading.
 func (img *LoadedImage) NewMachine() (*Machine, error) {
 	m := &Machine{
 		cfg:       img.cfg,
 		img:       img,
 		prog:      img.prog,
-		m:         mem.New(),
+		m:         scratchStores.Get().(*mem.Memory),
 		code:      img.prog.Code,
 		insts:     img.insts,
 		rs:        ifu.New(img.cfg.ReturnStackDepth),
@@ -222,6 +227,7 @@ func (img *LoadedImage) NewMachine() (*Machine, error) {
 	m.m.LoadFrom(img.boot)
 	h, err := frames.Adopt(m.m, img.heapConfig(), img.heapBoot)
 	if err != nil {
+		m.Release()
 		return nil, err
 	}
 	m.heap = h

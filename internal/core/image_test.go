@@ -54,26 +54,40 @@ func TestLoadedImageShared(t *testing.T) {
 	}
 }
 
-// TestBootInRecycledScratchStore: LoadImage boots in recycled scratch
-// stores, so a machine over an image loaded after many others must still
-// hold exactly what a boot in a store fresh from mem.New leaves, all 64K
-// words of it, with the same allocator state.
+// TestBootInRecycledScratchStore: LoadImage and NewMachine boot in
+// recycled scratch stores, so a machine must still hold exactly what a
+// boot in a store fresh from mem.New leaves, all 64K words of it, with the
+// same allocator state. The images are loaded one after another in
+// recycled stores. Then each seed's machine runs its entry and is
+// released, reset first on odd seeds as a pool resets it, and the next
+// seed's machine boots in the store that release handed back.
 func TestBootInRecycledScratchStore(t *testing.T) {
-	for seed := int64(0); seed < 40; seed++ {
-		prog, _, err := workload.RandomProgram(seed).Build(linker.Options{EarlyBind: seed%2 == 0})
+	const seeds = 40
+	imgs := make([]*LoadedImage, seeds)
+	args := make([][]mem.Word, seeds)
+	for seed := range imgs {
+		p := workload.RandomProgram(int64(seed))
+		prog, _, err := p.Build(linker.Options{EarlyBind: seed%2 == 0})
 		if err != nil {
 			t.Fatal(err)
 		}
-		img, err := LoadImage(prog, ConfigFastCalls)
-		if err != nil {
+		if imgs[seed], err = LoadImage(prog, ConfigFastCalls); err != nil {
 			t.Fatal(err)
 		}
+		args[seed] = p.Args
+	}
+	var released *mem.Memory
+	reused := 0
+	for seed, img := range imgs {
 		m, err := img.NewMachine()
 		if err != nil {
 			t.Fatal(err)
 		}
+		if m.Mem() == released {
+			reused++
+		}
 		ref := mem.New()
-		prog.Load(ref)
+		img.prog.Load(ref)
 		h, err := frames.New(ref, img.heapConfig())
 		if err != nil {
 			t.Fatal(err)
@@ -90,8 +104,23 @@ func TestBootInRecycledScratchStore(t *testing.T) {
 			}
 		}
 		if !reflect.DeepEqual(img.heapBoot, h.State()) {
-			t.Fatalf("seed %d: allocator %+v, fresh-store boot %+v", seed, img.heapBoot, h.State())
+			t.Fatalf("seed %d: image allocator %+v, fresh-store boot %+v", seed, img.heapBoot, h.State())
 		}
+		if !reflect.DeepEqual(m.Heap().State(), h.State()) {
+			t.Fatalf("seed %d: machine allocator %+v, fresh-store boot %+v", seed, m.Heap().State(), h.State())
+		}
+		m.Call(img.Entry(), args[seed]...) // a failed run dirties the store too
+		if seed%2 == 1 {
+			m.Reset()
+		}
+		released = m.Mem()
+		m.Release()
+	}
+	// The race detector drops some sync.Pool puts, so not every boot can
+	// land in the store the last release handed back, but most do.
+	t.Logf("%d of %d machines booted in the store the previous release handed back", reused, seeds-1)
+	if reused == 0 {
+		t.Fatal("no machine booted in the store the previous release handed back")
 	}
 }
 

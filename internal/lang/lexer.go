@@ -2,20 +2,23 @@ package lang
 
 import "fmt"
 
+// lexer hands out one token at a time. Its state is the source and three
+// ints, so the parser looks ahead on a copy of it.
 type lexer struct {
-	module string
-	src    string
-	pos    int
-	line   int
-	col    int
+	src  string
+	pos  int
+	line int
+	col  int
 }
 
-func newLexer(module, src string) *lexer {
-	return &lexer{module: module, src: src, line: 1, col: 1}
+func newLexer(src string) lexer {
+	return lexer{src: src, line: 1, col: 1}
 }
 
-func (l *lexer) errf(format string, args ...interface{}) error {
-	return &Error{Module: l.module, Line: l.line, Col: l.col, Msg: fmt.Sprintf(format, args...)}
+// errf reports a lex error at the current position. The parser fills in
+// the module: a lex error names the module the caller passed to Parse.
+func (l *lexer) errf(format string, args ...interface{}) *Error {
+	return &Error{Line: l.line, Col: l.col, Msg: fmt.Sprintf(format, args...)}
 }
 
 func (l *lexer) peekByte() byte {
@@ -37,7 +40,7 @@ func (l *lexer) advance() byte {
 	return c
 }
 
-func (l *lexer) skipSpace() error {
+func (l *lexer) skipSpace() *Error {
 	for l.pos < len(l.src) {
 		c := l.peekByte()
 		switch {
@@ -76,8 +79,9 @@ func isIdentCont(c byte) bool { return isIdentStart(c) || (c >= '0' && c <= '9')
 
 func isDigit(c byte) bool { return c >= '0' && c <= '9' }
 
-// next returns the next token.
-func (l *lexer) next() (Token, error) {
+// next returns the next token. After an error the lexer's state is
+// undefined; the caller lexes no further.
+func (l *lexer) next() (Token, *Error) {
 	if err := l.skipSpace(); err != nil {
 		return Token{}, err
 	}
@@ -94,11 +98,7 @@ func (l *lexer) next() (Token, error) {
 			l.advance()
 		}
 		tok.Text = l.src[start:l.pos]
-		if k, ok := keywords[tok.Text]; ok {
-			tok.Kind = k
-		} else {
-			tok.Kind = IDENT
-		}
+		tok.Kind = keyword(tok.Text)
 		return tok, nil
 	case isDigit(c):
 		start := l.pos
@@ -208,20 +208,4 @@ func (l *lexer) next() (Token, error) {
 		return tok, l.errf("unexpected character %q", string(c))
 	}
 	return tok, nil
-}
-
-// lexAll tokenizes the whole source.
-func lexAll(module, src string) ([]Token, error) {
-	l := newLexer(module, src)
-	var toks []Token
-	for {
-		t, err := l.next()
-		if err != nil {
-			return nil, err
-		}
-		toks = append(toks, t)
-		if t.Kind == EOF {
-			return toks, nil
-		}
-	}
 }

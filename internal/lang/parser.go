@@ -2,11 +2,14 @@ package lang
 
 import "fmt"
 
+// parser pulls its tokens from the lexer one at a time: tok is the
+// current token, and nothing else of the stream is kept.
 type parser struct {
-	module string
-	toks   []Token
-	pos    int
-	depth  int // open nesting levels; see nest
+	module string // names parse errors: the declared module once parsed
+	lex    lexer
+	tok    Token
+	lexErr *Error // the source's first lex error; it ends the token stream
+	depth  int    // open nesting levels; see nest
 }
 
 // maxNesting bounds how deeply the recursive productions may nest:
@@ -19,39 +22,56 @@ const maxNesting = 1000
 
 // maxSourceBytes bounds the source text the frontend accepts: one module
 // for Parse, and the sum over a submission for CompileAll and ParseAll.
-// The token slice and the tree grow with the source, and a flat chain
-// like 1+1+...+1 nests one tree level per operator without tripping
-// maxNesting, so only a size cap bounds the build's memory. The largest
-// sources measured are 694 bytes in the corpus and, over RandomProgram
-// seeds 0-19999, 3,070 bytes per module and 4,238 per program.
+// The tree grows with the source, and a flat chain like 1+1+...+1 nests
+// one tree level per operator without tripping maxNesting, so only a size
+// cap bounds the build's memory. The largest sources measured are 694
+// bytes in the corpus and, over RandomProgram seeds 0-19999, 3,070 bytes
+// per module and 4,238 per program.
 const maxSourceBytes = 64 << 10
 
-// Parse parses one module source.
+// Parse parses one module source. The source's first lex error wins over
+// any parse error, wherever the two fall: a lex error ends the token
+// stream, and after a parse error Parse lexes the rest of the source for
+// one. A lex error names moduleName; a parse error names the module the
+// source declares once its header has parsed.
 func Parse(moduleName, src string) (*File, error) {
 	if len(src) > maxSourceBytes {
 		return nil, fmt.Errorf("lang: module %s: source is %d bytes, over the %d-byte limit",
 			moduleName, len(src), maxSourceBytes)
 	}
-	toks, err := lexAll(moduleName, src)
+	p := &parser{module: moduleName, lex: newLexer(src)}
+	p.tok = p.scan()
+	f, err := p.file()
+	// A lex error anywhere in the source wins: lex the rest of it.
+	for err != nil && p.tok.Kind != EOF {
+		p.advance()
+	}
+	if p.lexErr != nil {
+		p.lexErr.Module = moduleName
+		return nil, p.lexErr
+	}
+	return f, err
+}
+
+// scan lexes the next token. A lex error ends the stream: it is kept for
+// Parse to report, and the parser sees the end of input.
+func (p *parser) scan() Token {
+	t, err := p.lex.next()
 	if err != nil {
-		return nil, err
+		p.lexErr = err
+		return Token{Kind: EOF, Line: err.Line, Col: err.Col}
 	}
-	p := &parser{module: moduleName, toks: toks}
-	return p.file()
+	return t
 }
 
-func (p *parser) cur() Token { return p.toks[p.pos] }
-func (p *parser) peek() Token { // token after cur
-	if p.pos+1 < len(p.toks) {
-		return p.toks[p.pos+1]
-	}
-	return p.toks[len(p.toks)-1]
-}
+func (p *parser) cur() Token { return p.tok }
 
+// advance consumes the current token and returns it. It never moves past
+// the end of input.
 func (p *parser) advance() Token {
-	t := p.toks[p.pos]
-	if p.pos < len(p.toks)-1 {
-		p.pos++
+	t := p.tok
+	if t.Kind != EOF {
+		p.tok = p.scan()
 	}
 	return t
 }
@@ -331,19 +351,27 @@ func (p *parser) stmt() (Stmt, error) {
 	return &ExprStmt{X: e, Line: t.Line}, nil
 }
 
-// scanAssignTargets looks ahead for IDENT (, IDENT)* '=' (not '==').
+// scanAssignTargets looks ahead for IDENT (, IDENT)* '=' (not '==') on a
+// copy of the lexer. A lex error in the lookahead reads as no assignment;
+// the parse reaches the error itself, or Parse finds it afterwards.
 func (p *parser) scanAssignTargets() (bool, int) {
-	i := p.pos
+	l := p.lex
+	t := p.tok
 	n := 0
 	for {
-		if p.toks[i].Kind != IDENT {
+		if t.Kind != IDENT {
 			return false, 0
 		}
 		n++
-		i++
-		switch p.toks[i].Kind {
+		var err *Error
+		if t, err = l.next(); err != nil {
+			return false, 0
+		}
+		switch t.Kind {
 		case COMMA:
-			i++
+			if t, err = l.next(); err != nil {
+				return false, 0
+			}
 		case ASSIGN:
 			return true, n
 		default:
@@ -394,7 +422,9 @@ func (p *parser) ifStmt() (Stmt, error) {
 
 // Expression parsing: precedence climbing.
 
-var precedence = map[Kind]int{
+// precedence is each binary operator's binding strength, indexed by Kind
+// over every kind; 0 marks a kind that is not a binary operator.
+var precedence = [KWRETURN + 1]int{
 	OROR:   1,
 	ANDAND: 2,
 	PIPE:   3,
@@ -422,8 +452,8 @@ func (p *parser) binExpr(minPrec int) (Expr, error) {
 	}
 	for {
 		op := p.cur()
-		prec, isOp := precedence[op.Kind]
-		if !isOp || prec < minPrec {
+		prec := precedence[op.Kind]
+		if prec == 0 || prec < minPrec {
 			return left, nil
 		}
 		p.advance()

@@ -65,9 +65,29 @@ const (
 	KWRETURN
 )
 
-var keywords = map[string]Kind{
-	"module": KWMODULE, "import": KWIMPORT, "var": KWVAR, "const": KWCONST,
-	"proc": KWPROC, "if": KWIF, "else": KWELSE, "while": KWWHILE, "return": KWRETURN,
+// keyword returns the keyword kind an identifier spells, or IDENT.
+func keyword(s string) Kind {
+	switch s {
+	case "module":
+		return KWMODULE
+	case "import":
+		return KWIMPORT
+	case "var":
+		return KWVAR
+	case "const":
+		return KWCONST
+	case "proc":
+		return KWPROC
+	case "if":
+		return KWIF
+	case "else":
+		return KWELSE
+	case "while":
+		return KWWHILE
+	case "return":
+		return KWRETURN
+	}
+	return IDENT
 }
 
 // Token is one lexeme with its source position.

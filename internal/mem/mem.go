@@ -11,7 +11,8 @@
 // Snapshot of that window alone: every word outside it is zero. Loading one
 // copies the window into a zero store, and restoring one copies back only
 // where the store's dirty window overlaps it and zeroes the rest of the
-// dirty window.
+// dirty window. Unloading one zeroes its window and the dirty window, so a
+// store outlives the image it was loaded from and boots the next one.
 package mem
 
 import "fmt"
@@ -128,10 +129,24 @@ func (m *Memory) Snapshot() Snapshot {
 // snap's window in, zeroes the rest of the dirty window, marks the store
 // clean relative to snap and zeroes the counters.
 func (m *Memory) LoadFrom(snap Snapshot) {
+	m.markWindow(snap)
+	m.RestoreFrom(snap)
+}
+
+// Unload is the inverse of LoadFrom: it zeroes the store over snap's
+// window and its own dirty window, marks it clean and zeroes the counters.
+// snap must be the image the store was last loaded from; the store is then
+// zero everywhere, as fresh from New, and ready for the next LoadFrom.
+func (m *Memory) Unload(snap Snapshot) {
+	m.markWindow(snap)
+	m.RestoreFrom(Snapshot{})
+}
+
+// markWindow widens the dirty window to cover snap's window.
+func (m *Memory) markWindow(snap Snapshot) {
 	if lo, hi := snap.Lo, snap.Hi(); lo < hi {
 		m.lo, m.hi = min(m.lo, lo), max(m.hi, hi)
 	}
-	m.RestoreFrom(snap)
 }
 
 // RestoreFrom puts snap back over the dirty window only — boot words where

@@ -448,11 +448,13 @@ func (r *Registry) removeLocked(ent *Entry) {
 }
 
 // retire folds evicted entries' pool aggregates into the retained totals
-// so Aggregate stays exact across evictions. Runs still in flight on an
-// evicted pool merge into that pool after this snapshot and are lost to
-// the aggregate — the serving layer's own per-request counters remain
-// exact — so retire is called after eviction, when the registry has
-// stopped routing new work to the pool.
+// so Aggregate stays exact across evictions, then releases each pool, so
+// the evicted image's machines hand their stores on to the next image's
+// boots (Pool.Release). Runs still in flight on an evicted pool merge
+// into that pool after this snapshot and are lost to the aggregate — the
+// serving layer's own per-request counters remain exact — so retire is
+// called after eviction, when the registry has stopped routing new work
+// to the pool.
 func (r *Registry) retire(ents []*Entry) {
 	for _, ent := range ents {
 		if ent.pool == nil {
@@ -464,6 +466,7 @@ func (r *Registry) retire(ents []*Entry) {
 		r.retired.Merge(mt)
 		r.retiredRuns += runs
 		r.mu.Unlock()
+		ent.pool.Release()
 	}
 }
 
