@@ -3,6 +3,7 @@ package registry
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -217,6 +218,85 @@ func TestEvictionMemoryBudget(t *testing.T) {
 	if s.MemoryBytes > s.MemoryBudget {
 		t.Fatalf("resident bytes %d exceed budget %d", s.MemoryBytes, s.MemoryBudget)
 	}
+}
+
+// TestConcurrentCallsStayInBudget: the budget charges each image for the
+// machines it warms, so calls running at once on resident images must not
+// leave more machines behind than that. Every resident image serves conc
+// calls at once, a few images are evicted, and after two GCs (which empty
+// every sync.Pool) the heap the registry holds must still fit its budget,
+// give or take what the budget does not charge for (entries, hashes, the
+// lists), which the slack covers. Were each pool to keep the conc machines
+// it booted, the heap would hold about budget/per × (conc-1) stores more.
+func TestConcurrentCallsStayInBudget(t *testing.T) {
+	const images, conc = 12, 8
+	e, _, err := newRegistry(Config{}).Submit(buildProg(t, 50))
+	if err != nil {
+		t.Fatal(err)
+	}
+	per := e.Bytes()
+	budget := images*per + per/2
+	slack := budget / 4
+	var ms runtime.MemStats
+	heap := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	base := heap()
+	r := newRegistry(Config{MemoryBudget: budget})
+	var ents []*Entry
+	for id := 50; id < 50+images+4; id++ {
+		e, _, err := r.Submit(buildProg(t, id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ents = append(ents, e)
+	}
+	var wg, started sync.WaitGroup
+	errs := make(chan error, len(ents)*conc)
+	for _, e := range ents {
+		if e.Evicted() {
+			continue
+		}
+		pool := e.Pool()
+		started.Add(conc)
+		for i := 0; i < conc; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				m, err := pool.Get()
+				started.Done()
+				if err != nil {
+					errs <- err
+					return
+				}
+				started.Wait() // every machine is checked out at once
+				if _, err := m.Call(pool.Entry(), 10); err != nil {
+					errs <- err
+				}
+				pool.Put(m)
+			}()
+		}
+		wg.Wait()
+	}
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	ents = nil // the evicted entries' images are no longer charged
+	s := r.Stats()
+	if s.Resident != images || s.MemoryBytes > budget {
+		t.Fatalf("stats = %+v, want %d resident within the budget", s, images)
+	}
+	held := heap() - base
+	t.Logf("heap held %d B; budget %d B, charged %d B, %d B per image", held, budget, s.MemoryBytes, per)
+	if held > budget+slack {
+		t.Fatalf("after %d calls at once per image, the registry holds %d B of heap, budget %d B + slack %d B",
+			conc, held, budget, slack)
+	}
+	runtime.KeepAlive(r)
 }
 
 // Pinned entries are exempt: the boot image survives arbitrary churn.
