@@ -1,22 +1,24 @@
 GO ?= go
 
-.PHONY: build vet test race bench check serve-smoke sched-smoke fuzz-smoke verify-corpus
+.PHONY: build vet test race bench check serve-smoke fuzz-smoke verify-corpus
 
 build:
 	$(GO) build ./...
 
-# vet runs go vet plus the repo's own invariant pass (internal/lint):
-# opcode/metadata/handler-table coverage and the one-retire-per-dispatch
-# discipline.
+# vet runs go vet only. The opcode tables hold themselves: the compiler
+# rejects a second metadata row for an opcode, core's init panics on a
+# second handler, and tests check the rest (TestOpNames,
+# TestHandlerTableTotal, TestOpcodeCoverage).
 vet:
 	$(GO) vet ./...
-	$(GO) run ./cmd/fpclint
 
 test:
 	$(GO) test ./...
 
 # The race gate covers the concurrency surface added with fpc.Pool:
-# TestPoolConcurrentStress drives one shared LoadedImage from 12 goroutines.
+# TestPoolConcurrentStress drives one shared LoadedImage from 12 goroutines,
+# and TestPoolTimesliceStress timeslices processes over one shared pool by
+# continuation park and resume from 8.
 race:
 	$(GO) test -race ./...
 
@@ -27,13 +29,6 @@ bench:
 # fpcload, scrape /metrics, assert non-zero pooled runs, drain on SIGTERM.
 serve-smoke:
 	sh scripts/serve_smoke.sh
-
-# Race-enabled scheduler stress: many in-VM schedulers timeslicing
-# processes over one shared pool via continuation park/resume, asserting
-# every process is byte-identical to its uninterrupted run and the pool
-# aggregate equals the sum of per-process metrics exactly.
-sched-smoke:
-	$(GO) test -race -count=1 -run 'TestSched' ./internal/sched
 
 # Differential fuzzing smoke: a deterministic 2000-seed sweep through the
 # four-way differential oracle (cmd/fpcfuzz), then a short coverage-guided

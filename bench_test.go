@@ -191,6 +191,30 @@ func BenchmarkPoolThroughput(b *testing.B) {
 	b.ReportMetric(mt.FastFraction(), "fastfrac")
 }
 
+// BenchmarkPoolShortCall is BenchmarkPoolThroughput with a call short
+// enough for the pool to show: fib(3), 52 simulated instructions, on a
+// pool warmed with one machine, so Get and Put are a large share of each
+// op and contention on the pool shows at -cpu 2 and up.
+func BenchmarkPoolShortCall(b *testing.B) {
+	prog := buildFib(b, true)
+	pool, err := fpc.NewPool(prog, fpc.ConfigFastCalls)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := pool.Warm(1); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			if _, err := pool.Call(prog.Entry, 3); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+}
+
 // engineMix is the corpus at the sizes servebench's engine-mix workload
 // runs, 12-40k simulated instructions per call. The list mirrors
 // servebench/workloads.go's engineMix.

@@ -21,7 +21,9 @@ func TestHandlerTableTotal(t *testing.T) {
 }
 
 // covRun step-drives one named procedure to completion, recording every
-// executed opcode into got.
+// executed opcode into got. Each Step must retire exactly one instruction:
+// a handler that advanced the counter itself would charge its opcode twice
+// against the step budget.
 func covRun(t *testing.T, got map[isa.Op]bool, prog *image.Program, cfg Config, module, proc string, args ...mem.Word) {
 	t.Helper()
 	cfg.HeapCheck = true
@@ -43,8 +45,12 @@ func covRun(t *testing.T, got map[isa.Op]bool, prog *image.Program, cfg Config, 
 		if pc := m.pc; pc < uint32(len(m.code)) && m.insts[pc].Valid() {
 			got[m.insts[pc].Op] = true
 		}
+		before := m.metrics.Instructions
 		if err := m.Step(); err != nil {
 			t.Fatalf("%s.%s: %v", module, proc, err)
+		}
+		if n := m.metrics.Instructions - before; n != 1 {
+			t.Fatalf("%s.%s: a Step retired %d instructions, want 1", module, proc, n)
 		}
 	}
 }
@@ -259,39 +265,44 @@ func omniModule() *image.Module {
 
 // TestOpcodeCoverage: every opcode in the isa metadata table is executed
 // at least once by the step-driven workloads below, under both linkage
-// policies (the early-bound builds are what exercise DCALL/SDCALL).
+// policies (the early-bound builds are what exercise DCALL/SDCALL) and on
+// each machine configuration, so every handler's per-configuration paths
+// are stepped.
 func TestOpcodeCoverage(t *testing.T) {
-	got := map[isa.Op]bool{}
-	for _, early := range []bool{false, true} {
-		opts := linker.Options{EarlyBind: early}
-		covRun(t, got, linkOne(t, fibModule(), "main", opts), ConfigFastCalls, "fib", "main", 8)
-		covRun(t, got, linkOne(t, coroutineModule(), "main", opts), ConfigFastCalls, "co", "main")
-		prog, _, err := linker.Link([]*image.Module{omniModule(), omniLibModule()}, "omni", "main", opts)
-		if err != nil {
-			t.Fatalf("early=%v: %v", early, err)
-		}
-		covRun(t, got, prog, ConfigFastCalls, "omni", "main")
-		covRun(t, got, prog, ConfigFastCalls, "omni", "stop")
-	}
-	// Every nearby early-bound call narrows to SDCALL; disabling the
-	// narrowing pass is what exercises the four-byte DCALL form.
-	prog, _, err := linker.Link([]*image.Module{omniModule(), omniLibModule()}, "omni", "main",
-		linker.Options{EarlyBind: true, NoShortCalls: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	covRun(t, got, prog, ConfigFastCalls, "omni", "main")
-	var missing []isa.Op
-	for op := isa.Op(0); op < isa.NumOps; op++ {
-		if !got[op] {
-			missing = append(missing, op)
-		}
-	}
-	if len(missing) > 0 {
-		names := make([]string, len(missing))
-		for i, op := range missing {
-			names[i] = isa.InfoOf(op).Name
-		}
-		t.Fatalf("%d opcodes never executed: %v", len(missing), names)
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{{"mesa", ConfigMesa}, {"fastfetch", ConfigFastFetch}, {"fastcalls", ConfigFastCalls}} {
+		t.Run(c.name, func(t *testing.T) {
+			got := map[isa.Op]bool{}
+			for _, early := range []bool{false, true} {
+				opts := linker.Options{EarlyBind: early}
+				covRun(t, got, linkOne(t, fibModule(), "main", opts), c.cfg, "fib", "main", 8)
+				covRun(t, got, linkOne(t, coroutineModule(), "main", opts), c.cfg, "co", "main")
+				prog, _, err := linker.Link([]*image.Module{omniModule(), omniLibModule()}, "omni", "main", opts)
+				if err != nil {
+					t.Fatalf("early=%v: %v", early, err)
+				}
+				covRun(t, got, prog, c.cfg, "omni", "main")
+				covRun(t, got, prog, c.cfg, "omni", "stop")
+			}
+			// Every nearby early-bound call narrows to SDCALL; disabling the
+			// narrowing pass is what exercises the four-byte DCALL form.
+			prog, _, err := linker.Link([]*image.Module{omniModule(), omniLibModule()}, "omni", "main",
+				linker.Options{EarlyBind: true, NoShortCalls: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			covRun(t, got, prog, c.cfg, "omni", "main")
+			var missing []string
+			for op := isa.Op(0); op < isa.NumOps; op++ {
+				if !got[op] {
+					missing = append(missing, op.String())
+				}
+			}
+			if len(missing) > 0 {
+				t.Fatalf("%d opcodes never executed: %v", len(missing), missing)
+			}
+		})
 	}
 }

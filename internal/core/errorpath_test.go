@@ -211,11 +211,11 @@ func stackFaultCases() []stackFaultCase {
 		}
 		c := stackFaultCase{op: op}
 		switch {
-		case info.Class == isa.ClassLocal && op != isa.LAB:
+		case op >= isa.LL0 && op <= isa.SLB:
 			c.local = 1
-		case info.Class == isa.ClassGlobal:
+		case op >= isa.LG0 && op <= isa.SGB:
 			c.glob = 1
-		case info.Class == isa.ClassPointer:
+		case op >= isa.LDIND && op <= isa.WFB:
 			c.ptr = 1
 		}
 		switch op {

@@ -168,13 +168,3 @@ func (m *Metrics) FastFraction() float64 {
 func (m *Metrics) RSHitRate() float64 {
 	return stats.Ratio(m.RSHits, m.RSHits+m.RSMisses)
 }
-
-// BankTroubleRate reports (overflows+underflows)/XFERs — §7.1's "<5% of
-// XFERs with 4 banks" statistic.
-func (m *Metrics) BankTroubleRate() float64 {
-	var x uint64
-	for _, t := range m.Transfers {
-		x += t
-	}
-	return stats.Ratio(m.BankOverflows+m.BankUnderflows, x)
-}

@@ -121,21 +121,6 @@ type Continuation struct {
 	Output []mem.Word
 }
 
-// Footprint reports the approximate in-memory size of the continuation in
-// bytes — dominated by the memory delta — for session-table accounting.
-func (c *Continuation) Footprint() int64 {
-	n := int64(len(c.MemWords)+len(c.Stack)+len(c.Output)+len(c.FreeFrames)) * 2
-	for _, ts := range c.TrapSaves {
-		n += int64(len(ts.Words))*2 + 4
-	}
-	n += int64(len(c.RS)) * 16
-	for _, b := range c.Banks.Banks {
-		n += int64(len(b.Words))*2 + 24
-	}
-	n += int64(len(c.Hash)) + 256
-	return n
-}
-
 // Snapshot captures the machine's suspended context as a Continuation. The
 // machine must be at an instruction boundary: halted, never started, or
 // paused by Run returning (budget cut, cancel, or an error that leaves the

@@ -40,18 +40,22 @@ func (m *Machine) Step() error {
 type handlerFunc func(*Machine, *isa.Inst) error
 
 // handlers is the dispatch table, indexed by opcode, that Run and Step use
-// for every image. Every defined opcode has a non-nil entry (asserted by
-// TestHandlerTableTotal); undefined opcodes never reach the table because
-// predecode marks them invalid.
+// for every image. Every defined opcode has exactly one entry: init panics
+// on a second registration, and TestHandlerTableTotal asserts none is
+// missing. Undefined opcodes never reach the table because predecode marks
+// them invalid.
 var handlers [isa.NumOps]handlerFunc
 
 func init() {
 	set := func(f handlerFunc, lo, hi isa.Op) {
 		for op := lo; op <= hi; op++ {
+			if handlers[op] != nil {
+				panic("core: a second handler for " + op.String())
+			}
 			handlers[op] = f
 		}
 	}
-	one := func(f handlerFunc, op isa.Op) { handlers[op] = f }
+	one := func(f handlerFunc, op isa.Op) { set(f, op, op) }
 
 	one(hNoop, isa.NOOP)
 	one(hHalt, isa.HALT)

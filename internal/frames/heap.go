@@ -330,10 +330,6 @@ func (h *Heap) FreeKnown(lf mem.Addr, fsi int) error {
 	return nil
 }
 
-// NoteRequested records the payload words a directly indexed Alloc call
-// actually needed, for fragmentation accounting.
-func (h *Heap) NoteRequested(words int) { h.stats.RequestedWords += uint64(words) }
-
 // Header returns the header word of a live frame (no reference charged;
 // used by retained-frame bookkeeping and tests).
 func (h *Heap) Header(lf mem.Addr) mem.Word { return h.m.Peek(lf - Overhead) }
@@ -353,9 +349,6 @@ func (h *Heap) FSIOf(lf mem.Addr) int { return int(h.m.Peek(lf-Overhead) & fsiMa
 
 // Stats returns a copy of the allocator counters.
 func (h *Heap) Stats() Stats { return h.stats }
-
-// HeapWordsUsed reports how many words of the bump region have been carved.
-func (h *Heap) HeapWordsUsed() int { return h.bump - int(h.cfg.HeapBase) }
 
 // replenish is the software allocator: carve Replenish frames of class fsi
 // from the bump region and push them on the free list. Its references are
@@ -382,18 +375,6 @@ func (h *Heap) replenish(fsi int) error {
 		h.stats.CarvedWords += uint64(block)
 	}
 	return nil
-}
-
-// FreeListLen walks the free list of class fsi without charging references.
-func (h *Heap) FreeListLen(fsi int) int {
-	n := 0
-	for p := h.m.Peek(h.cfg.AVBase + mem.Addr(fsi)); p != 0; p = h.m.Peek(p) {
-		n++
-		if n > mem.Size {
-			panic("frames: free list cycle")
-		}
-	}
-	return n
 }
 
 // CheckInvariants verifies (in Check mode) that live frames do not overlap

@@ -185,14 +185,12 @@ func (k OperandKind) Size() int {
 }
 
 // Info is one row of the static per-opcode metadata table: encoding
-// (operand width), execution (handler class, stack effect) and the
-// embedded operand of the one-byte fast forms. Name and Operand are
-// declared in the literal table below; the derived columns are filled by
-// meta.go's init from the opcode ranges.
+// (operand width), stack effect and the embedded operand of the one-byte
+// fast forms. Name and Operand are declared in the literal table below;
+// the derived columns are filled by meta.go's init from the opcode ranges.
 type Info struct {
 	Name    string
 	Operand OperandKind
-	Class   Class
 	// Pops and Pushes are the evaluation-stack effect; VarEffect (-1)
 	// marks an effect that depends on machine state.
 	Pops, Pushes int8
@@ -206,6 +204,8 @@ type Info struct {
 // Len reports the total encoded length in bytes.
 func (i Info) Len() int { return 1 + i.Operand.Size() }
 
+// infos is keyed by opcode, so a second row for one opcode does not
+// compile; TestOpNames checks that every opcode has a row of its own name.
 var infos = [NumOps]Info{
 	NOOP: {Name: "NOOP", Operand: OpdNone},
 	HALT: {Name: "HALT", Operand: OpdNone},

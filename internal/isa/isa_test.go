@@ -1,6 +1,9 @@
 package isa
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -14,6 +17,39 @@ func TestOpcodeTableComplete(t *testing.T) {
 	}
 	if InfoOf(NumOps).Name == "BAD(86)" || InfoOf(Op(255)).Name[:3] != "BAD" {
 		t.Errorf("out-of-range opcode not flagged: %q", InfoOf(Op(255)).Name)
+	}
+}
+
+// TestOpNames: every opcode's metadata row carries the opcode's own name.
+// The opcodes are read from the Op const block of isa.go, so a misnamed
+// row fails, and so does a missing one, whose Name is empty.
+func TestOpNames(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "isa.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, decl := range f.Decls {
+		gd, ok := decl.(*ast.GenDecl)
+		if !ok || gd.Tok != token.CONST {
+			continue
+		}
+		if typ, ok := gd.Specs[0].(*ast.ValueSpec).Type.(*ast.Ident); !ok || typ.Name != "Op" {
+			continue
+		}
+		for _, spec := range gd.Specs {
+			for _, id := range spec.(*ast.ValueSpec).Names {
+				names = append(names, id.Name)
+			}
+		}
+	}
+	if len(names) != int(NumOps)+1 || names[NumOps] != "NumOps" {
+		t.Fatalf("isa.go's Op const block declares %d names, want the %d opcodes then NumOps", len(names), NumOps)
+	}
+	for op, name := range names[:NumOps] {
+		if got := InfoOf(Op(op)).Name; got != name {
+			t.Errorf("opcode %d is %s, but its metadata row is named %q", op, name, got)
+		}
 	}
 }
 

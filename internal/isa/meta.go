@@ -1,57 +1,5 @@
 package isa
 
-// Class groups opcodes by the handler family that executes them — the
-// "kind" column of the static per-opcode metadata table. The execution
-// engine's dispatch table is indexed by opcode, not class; Class exists so
-// the predecoder can fold fast forms into their general handler's operand
-// and so tests can assert every kind is covered by a live handler.
-type Class byte
-
-// Handler classes.
-const (
-	ClassMisc    Class = iota // NOOP, HALT, OUT, DUP, POP, EXCH, LRC, LLF, RETAIN
-	ClassLocal                // LL*/SL*/LLB/SLB/LAB
-	ClassGlobal               // LG*/LGB/SGB
-	ClassLit                  // LIN1/LI*/LIB/LIW
-	ClassArith                // ADD..SHR
-	ClassPointer              // LDIND/STIND/RFB/WFB
-	ClassJump                 // JB..JGEB
-	ClassCall                 // EFC*/EFCB/LFC*/LFCB/DCALL/SDCALL
-	ClassXfer                 // RET/XFERO/COCREATE/FREE
-	ClassFrame                // AFB/FFREE
-	ClassTrap                 // TRAPB/STRAP
-	NumClasses
-)
-
-// String names the class.
-func (c Class) String() string {
-	switch c {
-	case ClassMisc:
-		return "misc"
-	case ClassLocal:
-		return "local"
-	case ClassGlobal:
-		return "global"
-	case ClassLit:
-		return "lit"
-	case ClassArith:
-		return "arith"
-	case ClassPointer:
-		return "pointer"
-	case ClassJump:
-		return "jump"
-	case ClassCall:
-		return "call"
-	case ClassXfer:
-		return "xfer"
-	case ClassFrame:
-		return "frame"
-	case ClassTrap:
-		return "trap"
-	}
-	return "?"
-}
-
 // VarEffect marks a stack effect that depends on machine state: calls and
 // transfers consume the whole argument record, and a transfer's results
 // arrive with the resumed context.
@@ -76,26 +24,6 @@ func init() {
 	setEmb(LIN1, LIN1, 0xFFFF)
 	setEmb(EFC0, EFC7, 0)
 	setEmb(LFC0, LFC3, 0)
-
-	class := func(c Class, lo, hi Op) {
-		for op := lo; op <= hi; op++ {
-			infos[op].Class = c
-		}
-	}
-	class(ClassMisc, NOOP, OUT)
-	class(ClassLocal, LL0, LAB)
-	class(ClassGlobal, LG0, SGB)
-	class(ClassLit, LIN1, LIW)
-	class(ClassArith, ADD, SHR)
-	class(ClassMisc, DUP, EXCH)
-	class(ClassPointer, LDIND, WFB)
-	class(ClassJump, JB, JGEB)
-	class(ClassCall, EFC0, SDCALL)
-	class(ClassXfer, RET, COCREATE)
-	class(ClassMisc, LRC, RETAIN)
-	class(ClassXfer, FREE, FREE)
-	class(ClassFrame, AFB, FFREE)
-	class(ClassTrap, TRAPB, STRAP)
 
 	effect := func(pops, pushes int8, lo, hi Op) {
 		for op := lo; op <= hi; op++ {

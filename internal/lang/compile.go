@@ -97,19 +97,6 @@ func checkSourceSize(names []string, sources map[string]string) error {
 	return nil
 }
 
-// Sig reports a procedure's (args, results) arity, for embedding tools.
-func (p *Program) Sig(module, proc string) (args, results int, err error) {
-	m, ok := p.sigs[module]
-	if !ok {
-		return 0, 0, fmt.Errorf("lang: unknown module %s", module)
-	}
-	s, ok := m[proc]
-	if !ok {
-		return 0, 0, fmt.Errorf("lang: module %s has no procedure %s", module, proc)
-	}
-	return s.args, s.results, nil
-}
-
 // File returns the parsed file of the named module, or nil.
 func (p *Program) File(name string) *File {
 	for _, f := range p.Files {

@@ -203,7 +203,7 @@ func SourceKey(sources map[string]string, entry string) string {
 // was served from the cache. A load the verifier rejects returns the
 // *core.VerifyError and caches nothing.
 func (r *Registry) Submit(prog *fpc.Program) (e *Entry, hit bool, err error) {
-	return r.submit(prog.ContentHash(), "", func() (*fpc.Program, error) { return prog, nil })
+	return r.submit(prog, "")
 }
 
 // SubmitSource is Submit for submissions identified by a source-level key
@@ -228,7 +228,7 @@ func (r *Registry) SubmitSource(key string, build func() (*fpc.Program, error)) 
 	if err != nil {
 		return nil, false, err
 	}
-	return r.submit(prog.ContentHash(), key, func() (*fpc.Program, error) { return prog, nil })
+	return r.submit(prog, key)
 }
 
 // Lookup returns the resident entry for a content hash, bumping its
@@ -267,7 +267,8 @@ func (r *Registry) hitLocked(ent *Entry) (*Entry, bool, error) {
 
 // submit implements the single-flight admission: exactly one caller per
 // content hash runs the load path; everyone else coalesces onto it.
-func (r *Registry) submit(hash, srcKey string, build func() (*fpc.Program, error)) (*Entry, bool, error) {
+func (r *Registry) submit(prog *fpc.Program, srcKey string) (*Entry, bool, error) {
+	hash := prog.ContentHash()
 	r.mu.Lock()
 	if ent, ok := r.byHash[hash]; ok {
 		if srcKey != "" {
@@ -285,11 +286,7 @@ func (r *Registry) submit(hash, srcKey string, build func() (*fpc.Program, error
 	}
 	r.mu.Unlock()
 
-	prog, err := build()
-	var img *fpc.LoadedImage
-	if err == nil {
-		img, err = r.load(prog)
-	}
+	img, err := r.load(prog)
 	if err != nil {
 		r.mu.Lock()
 		ent.err = err

@@ -3,6 +3,9 @@ package server
 import (
 	"net/http"
 	"strings"
+
+	fpc "repro"
+	"repro/internal/registry"
 )
 
 // The /call/{hash} endpoint: invoke a cached image directly by the
@@ -45,16 +48,9 @@ func (s *Server) handleCallHash(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	// Absent module/proc the image's entry procedure runs; a cached image
-	// is a whole program, so any of its procedures is addressable.
-	desc := ent.Image().Entry()
-	if req.Module != "" || req.Proc != "" {
-		var err error
-		desc, err = ent.Image().Program().FindProc(req.Module, req.Proc)
-		if err != nil {
-			s.reject(w, http.StatusBadRequest, err.Error())
-			return
-		}
+	desc, ok := s.pickProc(w, ent, req.Module, req.Proc)
+	if !ok {
+		return
 	}
 
 	cr, status, runErr, ok := s.runOnPool(w, r, s.tenant(tenantKey(r)), ent.Pool(), desc, s.clampBudget(req.Budget), args)
@@ -64,4 +60,20 @@ func (s *Server) handleCallHash(w http.ResponseWriter, r *http.Request) {
 	resp := RunResponse{Hash: ent.Hash(), Cached: true}
 	fillRun(&resp, cr, runErr)
 	writeRun(w, status, &resp)
+}
+
+// pickProc resolves the procedure a /call/{hash} or /session request names
+// in ent's image. Absent module and proc the image's entry procedure runs;
+// a cached image is a whole program, so any of its procedures is
+// addressable. An unknown procedure is answered here, and ok is false.
+func (s *Server) pickProc(w http.ResponseWriter, ent *registry.Entry, module, proc string) (desc fpc.Word, ok bool) {
+	if module == "" && proc == "" {
+		return ent.Image().Entry(), true
+	}
+	desc, err := ent.Image().Program().FindProc(module, proc)
+	if err != nil {
+		s.reject(w, http.StatusBadRequest, err.Error())
+		return 0, false
+	}
+	return desc, true
 }

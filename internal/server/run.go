@@ -79,8 +79,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		s.reject(w, http.StatusBadRequest, "modules are required")
 		return
 	}
-	entMod, entProc, ok := strings.Cut(req.Entry, ".")
-	if !ok || entMod == "" || entProc == "" {
+	if mod, proc, ok := strings.Cut(req.Entry, "."); !ok || mod == "" || proc == "" {
 		s.reject(w, http.StatusBadRequest, `entry must be "module.proc"`)
 		return
 	}
@@ -91,16 +90,32 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	budget := s.clampBudget(req.Budget)
 
-	// Submit-or-hit: the registry coalesces concurrent first sights and
-	// returns the resident entry for everything after. Only a memo miss
-	// runs the build closure (compile + link with the linkage policy
-	// matched to the serving machine config, the same way fpcd links its
-	// own program); only a content-hash miss runs the verifier and
-	// predecode.
+	ent, cached, ok := s.submitSource(w, req.Modules, req.Entry)
+	if !ok {
+		return
+	}
+	cr, status, runErr, ok := s.runOnPool(w, r, s.tenant(tenantKey(r)), ent.Pool(), ent.Image().Entry(), budget, args)
+	if !ok {
+		return
+	}
+	resp := RunResponse{Hash: ent.Hash(), Cached: cached}
+	fillRun(&resp, cr, runErr)
+	writeRun(w, status, &resp)
+}
+
+// submitSource is submit-or-hit for a /run-shaped submission whose entry
+// the caller has checked is "module.proc". The registry coalesces
+// concurrent first sights and returns the resident entry for everything
+// after. Only a memo miss runs the build closure (compile + link with the
+// linkage policy matched to the serving machine config, the same way fpcd
+// links its own program); only a content-hash miss runs the verifier and
+// predecode. A verifier rejection or any other build error is answered
+// here, and ok is false.
+func (s *Server) submitSource(w http.ResponseWriter, modules map[string]string, entry string) (ent *registry.Entry, cached, ok bool) {
 	cfg := s.pool.Image().Config()
-	key := registry.SourceKey(req.Modules, req.Entry)
-	ent, cached, err := s.reg.SubmitSource(key, func() (*fpc.Program, error) {
-		prog, err := fpc.Build(req.Modules, entMod, entProc, fpc.DefaultLinkOptions(cfg))
+	ent, cached, err := s.reg.SubmitSource(registry.SourceKey(modules, entry), func() (*fpc.Program, error) {
+		entMod, entProc, _ := strings.Cut(entry, ".")
+		prog, err := fpc.Build(modules, entMod, entProc, fpc.DefaultLinkOptions(cfg))
 		if err != nil {
 			return nil, fmt.Errorf("build: %w", err)
 		}
@@ -110,19 +125,12 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		var verr *core.VerifyError
 		if errors.As(err, &verr) {
 			s.rejectVerify(w, verr)
-			return
+		} else {
+			s.reject(w, http.StatusBadRequest, err.Error())
 		}
-		s.reject(w, http.StatusBadRequest, err.Error())
-		return
+		return nil, false, false
 	}
-
-	cr, status, runErr, ok := s.runOnPool(w, r, s.tenant(tenantKey(r)), ent.Pool(), ent.Image().Entry(), budget, args)
-	if !ok {
-		return
-	}
-	resp := RunResponse{Hash: ent.Hash(), Cached: cached}
-	fillRun(&resp, cr, runErr)
-	writeRun(w, status, &resp)
+	return ent, cached, true
 }
 
 // fillRun puts a run's artifacts into a /run-shaped response.

@@ -40,22 +40,10 @@ proc main(n) { return fib(n); }
 // runPost POSTs one /run request and decodes the response.
 func runPost(t *testing.T, ts *httptest.Server, req server.RunRequest) (int, server.RunResponse) {
 	t.Helper()
-	body, err := json.Marshal(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(ts.URL+"/run", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
+	status, text := postText(t, ts, "/run", req)
 	var rr server.RunResponse
-	json.Unmarshal(data, &rr)
-	return resp.StatusCode, rr
+	json.Unmarshal([]byte(text), &rr)
+	return status, rr
 }
 
 // A healthy submitted program runs to completion.
@@ -127,19 +115,63 @@ func TestRunVerifyOff(t *testing.T) {
 	}
 }
 
+// postText POSTs v as JSON to path and returns the status and the body.
+func postText(t *testing.T, ts *httptest.Server, path string, v any) (int, string) {
+	t.Helper()
+	body, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, string(data)
+}
+
+// TestRunBadRequests: every malformed /run body is a 400 with its own
+// text. /session builds a submitted program on the same path, so the same
+// program and arguments get the same 400 and text there. A body with two
+// faults shows the order each endpoint checks them in: /run checks the
+// entry before the arguments, /session the arguments first.
 func TestRunBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, server.Config{Verify: true})
-	cases := []server.RunRequest{
-		{}, // no modules
-		{Modules: map[string]string{"m": goodSrc}},                                        // no entry
-		{Modules: map[string]string{"m": goodSrc}, Entry: "nodot"},                        // malformed entry
-		{Modules: map[string]string{"m": "not a module"}, Entry: "m.main"},                // compile error
-		{Modules: map[string]string{"m": goodSrc}, Entry: "m.main", Args: []int64{99999}}, // arg range
+	const (
+		badEntry = "entry must be \"module.proc\"\n"
+		badArg   = "arg 0 out of 16-bit range: 99999\n"
+		rejected = `{"steps":0,"cycles":0,"refs":0,"cached":false,"error":"program rejected by verifier",` +
+			`"diagnostics":["error: pc 000022 (m.main): stack-overflow: LI1 pushes to depth 14 past the 13-word stack"]}` + "\n"
+	)
+	good := map[string]string{"m": goodSrc}
+	cases := []struct {
+		name         string
+		req          server.RunRequest
+		run, session string // the 400 texts; session "" sends no /session request
+	}{
+		{"no modules", server.RunRequest{}, "modules are required\n", ""},
+		{"no entry", server.RunRequest{Modules: good}, badEntry, badEntry},
+		{"malformed entry", server.RunRequest{Modules: good, Entry: "nodot"}, badEntry, badEntry},
+		{"compile error", server.RunRequest{Modules: map[string]string{"m": "not a module"}, Entry: "m.main"},
+			"build: m:1:1: expected module, found \"not\"\n", "build: m:1:1: expected module, found \"not\"\n"},
+		{"arg range", server.RunRequest{Modules: good, Entry: "m.main", Args: []int64{99999}}, badArg, badArg},
+		{"verifier rejects", server.RunRequest{Modules: map[string]string{"m": deepSrc()}, Entry: "m.main"}, rejected, rejected},
+		{"malformed entry and arg range", server.RunRequest{Modules: good, Entry: "nodot", Args: []int64{99999}}, badEntry, badArg},
 	}
-	for i, rq := range cases {
-		status, _ := runPost(t, ts, rq)
-		if status != http.StatusBadRequest {
-			t.Errorf("case %d: status %d, want 400", i, status)
+	for _, c := range cases {
+		if status, text := postText(t, ts, "/run", c.req); status != http.StatusBadRequest || text != c.run {
+			t.Errorf("%s: /run answered %d %q, want 400 %q", c.name, status, text, c.run)
+		}
+		if c.session == "" {
+			continue
+		}
+		sreq := server.SessionRequest{Modules: c.req.Modules, Entry: c.req.Entry, Args: c.req.Args}
+		if status, text := postText(t, ts, "/session", sreq); status != http.StatusBadRequest || text != c.session {
+			t.Errorf("%s: /session answered %d %q, want 400 %q", c.name, status, text, c.session)
 		}
 	}
 }

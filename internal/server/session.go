@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"errors"
-	"fmt"
 	"net/http"
 	"strings"
 	"time"
@@ -130,14 +129,9 @@ func (s *Server) handleSession(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	desc := ent.Image().Entry()
-	if req.Module != "" || req.Proc != "" {
-		var err error
-		desc, err = ent.Image().Program().FindProc(req.Module, req.Proc)
-		if err != nil {
-			s.reject(w, http.StatusBadRequest, err.Error())
-			return
-		}
+	desc, ok := s.pickProc(w, ent, req.Module, req.Proc)
+	if !ok {
+		return
 	}
 
 	tenant := tenantKey(r)
@@ -229,30 +223,12 @@ func (s *Server) resolveSessionImage(w http.ResponseWriter, req *SessionRequest)
 		}
 		return ent, true
 	case len(req.Modules) > 0:
-		entMod, entProc, ok := strings.Cut(req.Entry, ".")
-		if !ok || entMod == "" || entProc == "" {
+		if mod, proc, ok := strings.Cut(req.Entry, "."); !ok || mod == "" || proc == "" {
 			s.reject(w, http.StatusBadRequest, `entry must be "module.proc"`)
 			return nil, false
 		}
-		cfg := s.pool.Image().Config()
-		key := registry.SourceKey(req.Modules, req.Entry)
-		ent, _, err := s.reg.SubmitSource(key, func() (*fpc.Program, error) {
-			prog, err := fpc.Build(req.Modules, entMod, entProc, fpc.DefaultLinkOptions(cfg))
-			if err != nil {
-				return nil, fmt.Errorf("build: %w", err)
-			}
-			return prog, nil
-		})
-		if err != nil {
-			var verr *core.VerifyError
-			if errors.As(err, &verr) {
-				s.rejectVerify(w, verr)
-				return nil, false
-			}
-			s.reject(w, http.StatusBadRequest, err.Error())
-			return nil, false
-		}
-		return ent, true
+		ent, _, ok := s.submitSource(w, req.Modules, req.Entry)
+		return ent, ok
 	default:
 		return s.boot, true
 	}

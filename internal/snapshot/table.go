@@ -177,19 +177,6 @@ func (t *Table) Take(tenant, id string) (*Session, error) {
 	return s, nil
 }
 
-// Drop discards the tenant's parked session, reporting whether one was
-// resident.
-func (t *Table) Drop(tenant, id string) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	el, ok := t.byID[id]
-	if !ok || el.Value.(*Session).Tenant != tenant {
-		return false
-	}
-	t.removeLocked(el)
-	return true
-}
-
 // Stats returns a snapshot of the table's accounting.
 func (t *Table) Stats() Stats {
 	t.mu.Lock()

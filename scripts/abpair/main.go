@@ -1,9 +1,12 @@
 // Command abpair compares one benchmark between a base revision and the
 // working tree in alternating pairs of runs. It checks the base revision
 // out with git worktree add into a temporary directory (no network),
-// builds the root package's test binary in both trees, runs the named
-// benchmark -n times on each side, alternating which side runs first, and
-// prints every run, each side's median and interquartile range, the median
+// builds the root package's test binary in both trees and runs the named
+// benchmark in -n pairs. Each pair runs in ABBA order, the leading side
+// first and last, and a side's value is the mean of its two runs, so a
+// drift across the pair or a penalty on whichever binary runs second falls
+// on both sides alike; which side leads alternates between pairs. It
+// prints every pair, each side's median and interquartile range, the median
 // of the paired change/base ratios and the change's win count. It reads a
 // gain only when the change wins at least nine tenths of the pairs and the
 // medians differ by more than the base's interquartile range, the rule
@@ -113,14 +116,11 @@ func run(ctx context.Context, base, bench string, n int, cpu, overlay string) er
 		args = append(args, "-test.cpu="+cpu)
 	}
 	fmt.Printf("base %s, change: working tree of %s\nbench %s, metric %s, %d pairs\n\n", base, root, bench, metric, n)
-	fmt.Printf("%-5s %-7s %14s %14s %12s\n", "pair", "first", "base", "change", "change/base")
+	fmt.Printf("%-5s %-7s %14s %14s %12s\n", "pair", "leads", "base", "change", "change/base")
 	vals := [2][]float64{make([]float64, n), make([]float64, n)}
 	for i := 0; i < n; i++ {
-		order := []int{0, 1}
-		if i%2 == 1 {
-			order = []int{1, 0}
-		}
-		for _, j := range order {
+		lead, other := i%2, 1-i%2
+		for _, j := range []int{lead, other, other, lead} {
 			s := sides[j]
 			out, err := output(ctx, s.root, s.bin, args...)
 			if err != nil {
@@ -130,9 +130,9 @@ func run(ctx context.Context, base, bench string, n int, cpu, overlay string) er
 			if err != nil {
 				return fmt.Errorf("%s run %d: %w", s.name, i+1, err)
 			}
-			vals[j][i] = v
+			vals[j][i] += v / 2
 		}
-		fmt.Printf("%-5d %-7s %14.1f %14.1f %12.4f\n", i+1, sides[order[0]].name, vals[0][i], vals[1][i], vals[1][i]/vals[0][i])
+		fmt.Printf("%-5d %-7s %14.1f %14.1f %12.4f\n", i+1, sides[lead].name, vals[0][i], vals[1][i], vals[1][i]/vals[0][i])
 	}
 
 	ratios := make([]float64, n)
